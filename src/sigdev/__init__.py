@@ -54,6 +54,7 @@ from .sdkernel import (
     exact_straight_line,
     k_sd,
     semicircle_charfn,
+    series_gram,
     series_oracle,
     series_tail_bound,
     solve_explicit,
@@ -65,6 +66,8 @@ from .signature import (
     coordinate_coefficient,
     iterated_sums_signature,
     level_for_remainder,
+    reversed_signature,
+    signature_gram,
     signature_kernel_truncated,
     truncated_signature,
 )

@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import DomainError
 from .paths import Path
-from .sdkernel import k_sd
-from .signature import signature_kernel_truncated
+from .sdkernel import k_sd, series_gram
+from .signature import signature_gram
 
 KERNELS = ("sd_explicit", "sd_implicit", "sd_series", "sig_truncated")
 
@@ -73,16 +73,15 @@ class GramMatrix:
         object.__setattr__(self, "values", values)
 
 
-def _evaluate(a: Path, b: Path, kernel: str, spec: KernelSpec) -> float:
-    if kernel == "sd_series":
-        return k_sd(a, b, "series", tol=spec.tol)
-    if kernel == "sd_explicit":
-        return k_sd(a, b, "explicit", mesh=spec.mesh)
-    if kernel == "sd_implicit":
-        return k_sd(a, b, "implicit", mesh=spec.mesh)
-    if kernel == "sig_truncated":
-        return signature_kernel_truncated(a, b, level=spec.level).value
-    raise DomainError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
+def _grid_gram(paths_a, paths_b, kernel: str, spec: KernelSpec, symmetric: bool) -> np.ndarray:
+    """One grid solve per pair; with a single sample only the upper
+    triangle is solved."""
+    scheme = "explicit" if kernel == "sd_explicit" else "implicit"
+    values = np.zeros((len(paths_a), len(paths_b)))
+    for i, a in enumerate(paths_a):
+        for j in range(i if symmetric else 0, len(paths_b)):
+            values[i, j] = k_sd(a, paths_b[j], scheme, mesh=spec.mesh)
+    return values
 
 
 def gram(
@@ -93,21 +92,27 @@ def gram(
 ) -> GramMatrix:
     """Kernel matrix between two path samples.
 
-    With a single sample (or ``sample_b is sample_a``) only the upper
-    triangle is evaluated and mirrored.
+    The series and signature kernels sign each path once and contract the
+    signatures for all pairs at once (``series_gram``, ``signature_gram``);
+    the grid kernels solve one grid per pair.  With a single sample (or
+    ``sample_b is sample_a``) the result is the upper triangle mirrored, so
+    it is exactly symmetric.
     """
+    if kernel not in KERNELS:
+        raise DomainError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
     symmetric = sample_b is None or sample_b is sample_a
     sample_b = sample_a if sample_b is None else sample_b
     if sample_a.dim != sample_b.dim:
         raise DomainError("samples must share path dimension")
-    rows, cols = len(sample_a), len(sample_b)
-    values = np.zeros((rows, cols))
-    for i in range(rows):
-        start = i if symmetric else 0
-        for j in range(start, cols):
-            values[i, j] = _evaluate(sample_a.paths[i], sample_b.paths[j], kernel, spec)
-            if symmetric and j != i:
-                values[j, i] = values[i, j]
+    paths_a, paths_b = sample_a.paths, sample_b.paths
+    if kernel == "sd_series":
+        values = series_gram(paths_a, paths_b, spec.tol)
+    elif kernel == "sig_truncated":
+        values = signature_gram(paths_a, paths_b, spec.level)
+    else:
+        values = _grid_gram(paths_a, paths_b, kernel, spec, symmetric)
+    if symmetric:
+        values = np.triu(values) + np.triu(values, 1).T
     return GramMatrix(values, spec.tag(kernel))
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .paths import (
     piecewise_constant_increments,
     refine_to_variation,
 )
-from .signature import truncated_signature
+from .signature import _check_same_dim, _reverse_words, _signature_rows, truncated_signature
 
 MAX_SERIES_LEVEL = 16
 
@@ -134,22 +134,16 @@ def solve_implicit(incs: IncrementSequence, knots: Partition | None = None) -> S
 def semicircle_charfn(x: float) -> float:
     """Characteristic function of the radius-2 semicircle law, J1(2x)/x.
 
-    Evaluated by the alternating power series
-    sum_k (-1)^k x^(2k) / (k! (k+1)!) with term-ratio stopping at 1e-16;
-    the limit value at x = 0 is 1.  Even in x.
+    Evaluated with the Bessel function from scipy, accurate at every x
+    (the alternating power series sum_k (-1)^k x^(2k) / (k! (k+1)!) loses
+    all its digits to cancellation past x of about 10); the limit value at
+    x = 0 is 1.  Even in x.
     """
-    x2 = x * x
-    term = 1.0
-    total = 1.0
-    k = 0
-    while True:
-        term *= -x2 / ((k + 1) * (k + 2))
-        total += term
-        k += 1
-        if abs(term) <= 1e-16 * max(1.0, abs(total)) and k >= 2:
-            return total
-        if k > 400:  # unreachable for |x| within any sane range
-            return total
+    from scipy import special  # imported here: most commands never need it
+
+    if x == 0.0:
+        return 1.0
+    return float(special.j1(2.0 * x) / x)
 
 
 def exact_straight_line(speed: float, s: float, t: float) -> float:
@@ -214,6 +208,18 @@ def _moment_contraction(tensor: np.ndarray, dim: int, length: int) -> float:
     return total
 
 
+def _series_level(variation: float, tol: float) -> int:
+    """Smallest even level <= MAX_SERIES_LEVEL whose certified tail bound at
+    the given 1-variation falls below tol; a resource error otherwise."""
+    for candidate in range(0, MAX_SERIES_LEVEL + 1, 2):
+        if series_tail_bound(variation, candidate) < tol:
+            return candidate
+    raise ResourceLimitError(
+        f"series tail cannot reach tol={tol:g} within level {MAX_SERIES_LEVEL}; "
+        f"achievable bound is {series_tail_bound(variation, MAX_SERIES_LEVEL):.3e}"
+    )
+
+
 def series_oracle(
     path: Path,
     s: float | None = None,
@@ -234,22 +240,69 @@ def series_oracle(
     if t is None:
         t = path.end_time
     variation = one_variation(path, (s, t))
-    level = None
-    for candidate in range(0, MAX_SERIES_LEVEL + 1, 2):
-        if series_tail_bound(variation, candidate) < tol:
-            level = candidate
-            break
-    if level is None:
-        raise ResourceLimitError(
-            f"series tail cannot reach tol={tol:g} within level {MAX_SERIES_LEVEL}; "
-            f"achievable bound is {series_tail_bound(variation, MAX_SERIES_LEVEL):.3e}"
-        )
+    level = _series_level(variation, tol)
     sig = truncated_signature(path, (s, t), level)
     value = 1.0
     for m in range(2, level + 1, 2):
         sign = -1.0 if (m // 2) % 2 else 1.0
         value += sign * _moment_contraction(sig.tensors[m], path.dim, m)
     return SeriesKernel(value, series_tail_bound(variation, level), level)
+
+
+def _moment_table(dim: int, length: int) -> np.ndarray:
+    """phi(I) for every word I of one even length over {1..dim}, flat in
+    lexicographic order: each non-crossing pairing adds 1 to the words
+    whose paired letters agree."""
+    table = np.zeros(dim**length)
+    letters = np.arange(dim)
+    for partition in nc2_enumerate(length):
+        index = np.zeros(1, dtype=np.int64)
+        for i, j in partition.sorted_pairs():
+            weight = dim ** (length - i) + dim ** (length - j)
+            index = (index[:, None] + letters * weight).ravel()
+        table[index] += 1.0
+    return table
+
+
+def series_gram(paths_a: Sequence[Path], paths_b: Sequence[Path], tol: float = 1e-6) -> np.ndarray:
+    """Schwinger-Dyson kernel K_SD(a_i, b_j) of every pair by the series.
+
+    Pair (i, j) is truncated at the level ``series_oracle`` picks for
+    gamma * <-sigma, whose 1-variation is |a_i|_1 + |b_j|_1, and a pair
+    that needs more than MAX_SERIES_LEVEL raises the same resource error.
+    Each path is signed once, up to the deepest level of its pairs.  By
+    Chen's identity S(gamma * <-sigma) = S(gamma) (x) S(<-sigma), so level m
+    of the series is a bilinear form,
+
+        sum_{p+q=m} S^p(gamma) Phi_m[p, q] S^q(<-sigma),
+
+    with Phi_m the level-m moment table reshaped to d^p x d^q, and
+    S^K(<-sigma) = (-1)^q S^rev(K)(sigma).  The reversal is applied to the
+    table's last q letters rather than to every signature, and one chain
+    of matrix products per (p, q) evaluates the form for all pairs at once.
+    """
+    if tol <= 0:
+        raise DomainError("tol must be positive")
+    dim = _check_same_dim(paths_a, paths_b)
+    same = paths_b is paths_a
+    var_a = np.array([one_variation(p) for p in paths_a])
+    var_b = var_a if same else np.array([one_variation(p) for p in paths_b])
+    levels = np.array([[_series_level(u + v, tol) for v in var_b] for u in var_a])
+    top = int(levels.max())
+
+    sig_a = _signature_rows(paths_a, levels.max(axis=1), top)
+    sig_b = sig_a if same else _signature_rows(paths_b, levels.max(axis=0), top)
+    values = np.ones(levels.shape)
+    for m in range(2, top + 1, 2):
+        table = _moment_table(dim, m)
+        term = np.zeros(levels.shape)
+        for p in range(m + 1):
+            q = m - p
+            form = _reverse_words(table.reshape(dim**p, dim**q), dim, q)
+            term += np.linalg.multi_dot([sig_a[p], form, sig_b[q].T])
+        sign = -1.0 if (m // 2) % 2 else 1.0
+        values += np.where(levels >= m, sign * term, 0.0)
+    return values
 
 
 def k_sd(

@@ -39,6 +39,7 @@ from .randomdev import GUE, EnsembleConfig, rk_montecarlo, sample_matrices, unit
 from .sdkernel import (
     exact_straight_line,
     semicircle_charfn,
+    series_gram,
     series_oracle,
     solve_explicit,
     solve_implicit,
@@ -47,6 +48,8 @@ from .signature import (
     chen_product,
     coordinate_coefficient,
     iterated_sums_signature,
+    signature_gram,
+    signature_kernel_truncated,
     truncated_signature,
 )
 
@@ -214,6 +217,18 @@ def check_gram_diagonal_near_one():
     assert np.abs(g.values.diagonal() - 1.0).max() <= 1e-6
 
 
+def check_gram_matches_pairwise():
+    paths = tuple(_rand_path(seed, n=6, scale=0.05) for seed in (8, 9, 10))
+    series = series_gram(paths, paths, 1e-8)
+    signature = signature_gram(paths, paths, 6)
+    for i, a in enumerate(paths):
+        for j, b in enumerate(paths):
+            direct = series_oracle(concat_reverse(a, b), tol=1e-8).value
+            assert abs(series[i, j] - direct) <= 1e-12, f"series Gram off by {abs(series[i, j] - direct):.2e}"
+            direct = signature_kernel_truncated(a, b, level=6).value
+            assert abs(signature[i, j] - direct) <= 1e-12, f"signature Gram off by {abs(signature[i, j] - direct):.2e}"
+
+
 ALL_CHECKS = [
     ("paths.one_variation additive over adjacent intervals", check_variation_additive),
     ("paths.concat_reverse cancels displacement", check_concat_reverse_cancels),
@@ -237,6 +252,7 @@ ALL_CHECKS = [
     ("randomdev Monte-Carlo is deterministic", check_montecarlo_determinism),
     ("mmd distance of a sample to itself is 0", check_mmd_zero_on_self),
     ("mmd Gram diagonal is 1 under the series kernel", check_gram_diagonal_near_one),
+    ("mmd batched Grams match the per-pair kernels", check_gram_matches_pairwise),
 ]
 
 

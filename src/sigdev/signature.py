@@ -62,22 +62,26 @@ def _identity_levels(dim: int, level: int) -> list[np.ndarray]:
     return [np.ones(1)] + [np.zeros(dim**m) for m in range(1, level + 1)]
 
 
-def _exp_levels(increment: np.ndarray, level: int) -> list[np.ndarray]:
-    """Tensor exponential of a single increment: w^(x)m / m! for m <= L."""
-    levels = [np.ones(1)]
-    for m in range(1, level + 1):
-        levels.append(np.kron(levels[-1], increment) / m)
-    return levels
+def _multiply_segment_exp(levels: list[np.ndarray], inc: np.ndarray, level: int, buffers) -> None:
+    """levels <- levels (x) exp(inc), in place.
 
-
-def _product_levels(a: list[np.ndarray], b: list[np.ndarray], dim: int, level: int) -> list[np.ndarray]:
-    out = []
-    for m in range(level + 1):
-        acc = np.zeros(dim**m)
-        for p in range(m + 1):
-            acc += np.kron(a[p], b[m - p])
-        out.append(acc)
-    return out
+    Level m of the product is sum_k S^k (x) inc^(m-k) / (m-k)!, evaluated
+    Horner-style as (((inc/m + S^1) (x) inc/(m-1) + S^2) (x) ...) (x) inc
+    (Kidger & Lyons, Signatory).  Levels are updated from the top down, so
+    the lower levels read along the way still hold the old signature.
+    ``buffers`` is a pair of scratch arrays of d^level entries each.
+    """
+    dim = inc.shape[0]
+    acc_buf, sum_buf = buffers
+    for m in range(level, 0, -1):
+        acc = np.divide(inc, m, out=acc_buf[:dim])
+        for k in range(1, m):
+            size = dim**k
+            total = np.add(levels[k], acc, out=sum_buf[:size])
+            acc = acc_buf[: size * dim]
+            np.multiply(total[:, None], inc, out=acc.reshape(size, dim))
+            acc /= m - k
+        levels[m] += acc
 
 
 def chen_product(a: TruncatedSignature, b: TruncatedSignature) -> TruncatedSignature:
@@ -85,7 +89,12 @@ def chen_product(a: TruncatedSignature, b: TruncatedSignature) -> TruncatedSigna
     if a.dim != b.dim:
         raise DomainError("signatures must share dimension")
     level = min(a.level, b.level)
-    levels = _product_levels(list(a.tensors), list(b.tensors), a.dim, level)
+    levels = []
+    for m in range(level + 1):
+        acc = np.zeros(a.dim**m)
+        for p in range(m + 1):
+            acc += np.multiply.outer(a.tensors[p], b.tensors[m - p]).ravel()
+        levels.append(acc)
     return TruncatedSignature(a.dim, level, tuple(levels))
 
 
@@ -94,9 +103,9 @@ def truncated_signature(
 ) -> TruncatedSignature:
     """Signature of the path over [s, t], truncated at the given level.
 
-    Each linear segment contributes the tensor exponential of its increment;
-    segments combine by the truncated tensor product.  Summation order is
-    fixed (left to right along the path), so results do not depend on any
+    Each linear segment contributes the tensor exponential of its increment,
+    multiplied in place into the running signature (left to right along the
+    path).  The summation order is fixed, so results do not depend on any
     scheduling.
     """
     _check_storage(path.dim, level)
@@ -111,12 +120,67 @@ def truncated_signature(
     levels = _identity_levels(path.dim, level)
     if s < t:
         pts = _clip_points(path, s, t)
+        buffers = (np.empty(path.dim**level), np.empty(path.dim**level))
         for k in range(len(pts) - 1):
             inc = pts[k + 1] - pts[k]
             if not np.any(inc):
                 continue
-            levels = _product_levels(levels, _exp_levels(inc, level), path.dim, level)
+            _multiply_segment_exp(levels, inc, level, buffers)
     return TruncatedSignature(path.dim, level, tuple(levels))
+
+
+def _reverse_words(rows: np.ndarray, dim: int, m: int) -> np.ndarray:
+    """Each row holds coefficients of the words of length m; return them
+    with every word read backwards and the sign (-1)^m.  On a path's
+    level-m signature this gives that of the reversed path:
+    S^K(<-x) = (-1)^m S^rev(K)(x)."""
+    cube = rows.reshape((rows.shape[0],) + (dim,) * m)
+    flipped = cube.transpose((0,) + tuple(range(m, 0, -1))).reshape(rows.shape[0], -1)
+    return -flipped if m % 2 else flipped
+
+
+def reversed_signature(sig: TruncatedSignature) -> TruncatedSignature:
+    """Signature of the time-reversed path, from the signature itself."""
+    levels = tuple(_reverse_words(t[None, :], sig.dim, m)[0] for m, t in enumerate(sig.tensors))
+    return TruncatedSignature(sig.dim, sig.level, levels)
+
+
+def _check_same_dim(paths_a: Sequence[Path], paths_b: Sequence[Path]) -> int:
+    if not paths_a or not paths_b:
+        raise DomainError("need at least one path on each side")
+    dims = {p.dim for p in paths_a} | {p.dim for p in paths_b}
+    if len(dims) != 1:
+        raise DomainError("paths must share dimension")
+    return dims.pop()
+
+
+def _signature_rows(paths: Sequence[Path], levels: Sequence[int], top: int) -> list[np.ndarray]:
+    """Level m of every path's signature as one row of an (n, d^m) matrix,
+    for m <= top.  Path i is signed once, at levels[i] <= top; its rows
+    above that level stay zero."""
+    dim = paths[0].dim
+    rows = [np.zeros((len(paths), dim**m)) for m in range(top + 1)]
+    for i, (path, level) in enumerate(zip(paths, levels)):
+        for m, tensor in enumerate(truncated_signature(path, level=int(level)).tensors):
+            rows[m][i] = tensor
+    return rows
+
+
+def signature_gram(paths_a: Sequence[Path], paths_b: Sequence[Path], level: int) -> np.ndarray:
+    """Truncated signature kernel of every pair, sum_{m<=L} <S^m(a_i), S^m(b_j)>.
+
+    Each path is signed once; its levels 0..L, concatenated, form one row
+    of a feature matrix F, and the Gram matrix is the product F_a F_b^T.
+    Passing the same sequence twice signs it once.
+    """
+    _check_same_dim(paths_a, paths_b)
+
+    def features(paths):
+        return np.hstack(_signature_rows(paths, [level] * len(paths), level))
+
+    f_a = features(paths_a)
+    f_b = f_a if paths_b is paths_a else features(paths_b)
+    return f_a @ f_b.T
 
 
 def iterated_sums_signature(incs: IncrementSequence, level: int) -> TruncatedSignature:

@@ -7,13 +7,20 @@ from sigdev import (
     KernelSpec,
     Path,
     PathSample,
+    ResourceLimitError,
+    concat_reverse,
     gen_fbm,
     gram,
     k_sd,
     mmd2,
     scaled,
+    series_gram,
+    series_oracle,
+    signature_gram,
     signature_kernel_truncated,
+    write_paths_jsonl,
 )
+from sigdev.cli import main
 from conftest import make_piecewise_linear
 
 
@@ -70,15 +77,17 @@ class TestGram:
         )
 
     def test_matches_direct_kernel_calls(self):
+        # the Gram contracts per-path signatures in another summation order
+        # than the per-pair routes, so agreement is to rounding, not bits
         a = fbm_sample((4, 5))
         spec = KernelSpec(tol=1e-7)
         matrix = gram(a, None, "sd_series", spec).values
         direct = k_sd(a.paths[0], a.paths[1], "series", tol=1e-7)
-        assert matrix[0, 1] == direct
+        assert matrix[0, 1] == pytest.approx(direct, abs=1e-12)
         sig_matrix = gram(a, None, "sig_truncated", KernelSpec(level=6)).values
-        assert sig_matrix[0, 1] == signature_kernel_truncated(
-            a.paths[0], a.paths[1], level=6
-        ).value
+        assert sig_matrix[0, 1] == pytest.approx(
+            signature_kernel_truncated(a.paths[0], a.paths[1], level=6).value, abs=1e-12
+        )
 
     def test_unknown_kernel(self):
         with pytest.raises(DomainError):
@@ -87,6 +96,88 @@ class TestGram:
     def test_dim_mismatch(self):
         with pytest.raises(DomainError):
             gram(fbm_sample((1,), dim=1), fbm_sample((2,), dim=2))
+
+
+def pairwise_series(paths_a, paths_b, tol):
+    return np.array([[series_oracle(concat_reverse(a, b), tol=tol).value for b in paths_b] for a in paths_a])
+
+
+def pairwise_signature(paths_a, paths_b, level):
+    return np.array(
+        [[signature_kernel_truncated(a, b, level=level).value for b in paths_b] for a in paths_a]
+    )
+
+
+def paths_of_variation(variations, seed=0, segments=5, dim=2):
+    return tuple(make_piecewise_linear(seed + k, segments, dim, v) for k, v in enumerate(variations))
+
+
+class TestBatchedGrams:
+    """series_gram and signature_gram against the per-pair routes."""
+
+    def test_symmetric_sample(self):
+        paths = paths_of_variation((0.3, 0.5, 0.7))
+        got = series_gram(paths, paths, 1e-8)
+        assert np.abs(got - pairwise_series(paths, paths, 1e-8)).max() <= 1e-12
+        got = signature_gram(paths, paths, 7)
+        assert np.abs(got - pairwise_signature(paths, paths, 7)).max() <= 1e-12
+
+    def test_asymmetric_samples_of_different_sizes(self):
+        a = paths_of_variation((0.4, 0.6), seed=10, segments=4)
+        b = paths_of_variation((0.2, 0.5, 0.8), seed=20, segments=7)
+        got = series_gram(a, b, 1e-7)
+        assert got.shape == (2, 3)
+        assert np.abs(got - pairwise_series(a, b, 1e-7)).max() <= 1e-12
+        got = signature_gram(a, b, 6)
+        assert got.shape == (2, 3)
+        assert np.abs(got - pairwise_signature(a, b, 6)).max() <= 1e-12
+
+    def test_pairs_at_different_levels(self):
+        paths = paths_of_variation((0.05, 0.35, 0.75), seed=30)
+        levels = {series_oracle(concat_reverse(a, b), tol=1e-8).level for a in paths for b in paths}
+        assert len(levels) >= 3
+        got = series_gram(paths, paths, 1e-8)
+        assert np.abs(got - pairwise_series(paths, paths, 1e-8)).max() <= 1e-12
+
+    def test_zero_increment_segment(self):
+        stalled = Path([0.0, 0.3, 0.6, 1.0], [[0.0, 0.0], [0.2, -0.1], [0.2, -0.1], [0.5, 0.3]])
+        paths = (stalled, make_piecewise_linear(40, 4, 2, 0.6))
+        got = series_gram(paths, paths, 1e-9)
+        assert np.abs(got - pairwise_series(paths, paths, 1e-9)).max() <= 1e-12
+        got = signature_gram(paths, paths, 8)
+        assert np.abs(got - pairwise_signature(paths, paths, 8)).max() <= 1e-12
+
+    def test_one_pair_beyond_level_16_raises(self):
+        # only |a_1|_1 + |b_1|_1 = 2.3 needs more than level 16 at tol 1e-6
+        a = paths_of_variation((0.3, 1.2), seed=50)
+        b = paths_of_variation((0.3, 1.1), seed=60)
+        with pytest.raises(ResourceLimitError):
+            series_oracle(concat_reverse(a[1], b[1]), tol=1e-6)
+        series_oracle(concat_reverse(a[1], b[0]), tol=1e-6)
+        with pytest.raises(ResourceLimitError):
+            series_gram(a, b, 1e-6)
+        with pytest.raises(ResourceLimitError):
+            gram(PathSample(a), PathSample(b), "sd_series", KernelSpec(tol=1e-6))
+
+    def test_cli_gram_exits_3_beyond_level_16(self, tmp_path, capsys):
+        sample = tmp_path / "sample.jsonl"
+        write_paths_jsonl(["small", "large"], paths_of_variation((0.3, 1.2), seed=70), sample)
+        assert main(["gram", str(sample), "--kernel", "sd_series", "--tol", "1e-6"]) == 3
+        assert "level 16" in capsys.readouterr().err
+
+    def test_single_sample_gram_is_exactly_symmetric(self):
+        sample = PathSample(paths_of_variation((0.2, 0.45, 0.6, 0.75), seed=80))
+        for kernel, spec in (("sd_series", KernelSpec(tol=1e-8)), ("sig_truncated", KernelSpec(level=7))):
+            values = gram(sample, None, kernel, spec).values
+            assert np.array_equal(values, values.T)
+
+    def test_dimension_mismatch(self):
+        a = paths_of_variation((0.3,), dim=1)
+        b = paths_of_variation((0.3,), dim=2)
+        with pytest.raises(DomainError):
+            series_gram(a, b, 1e-6)
+        with pytest.raises(DomainError):
+            signature_gram(a, b, 4)
 
 
 class TestMmd2:

@@ -228,6 +228,11 @@ class TestExactStraightLine:
             )
             assert semicircle_charfn(x) == pytest.approx(series, abs=1e-12)
 
+    @pytest.mark.parametrize("x", [10.0, 20.0, 30.0, -20.0])
+    def test_large_argument_matches_bessel(self, x):
+        # the alternating power series cancels catastrophically out here
+        assert semicircle_charfn(x) == pytest.approx(scipy.special.j1(2.0 * x) / x, abs=1e-12)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             exact_straight_line(-1.0, 0.0, 1.0)

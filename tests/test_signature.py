@@ -11,12 +11,15 @@ from sigdev import (
     Partition,
     Path,
     ResourceLimitError,
+    TruncatedSignature,
     chen_product,
+    concat_reverse,
     coordinate_coefficient,
     iterated_sums_signature,
     level_for_remainder,
     one_variation,
     piecewise_constant_increments,
+    reversed_signature,
     signature_kernel_truncated,
     truncated_signature,
 )
@@ -84,6 +87,58 @@ class TestTruncatedSignature:
     def test_level_must_be_nonnegative(self):
         with pytest.raises(DomainError):
             truncated_signature(line([1.0]), level=-1)
+
+
+def segment_exponential(inc, level):
+    levels = [np.ones(1)]
+    for m in range(1, level + 1):
+        levels.append(np.multiply.outer(levels[-1], inc).ravel() / m)
+    return TruncatedSignature(len(inc), level, tuple(levels))
+
+
+def slow_signature(points, level):
+    """Left-to-right Chen product of the segment exponentials."""
+    dim = points.shape[1]
+    sig = segment_exponential(np.zeros(dim), level)
+    for inc in np.diff(points, axis=0):
+        sig = chen_product(sig, segment_exponential(inc, level))
+    return sig
+
+
+def reverse(path):
+    return Path(path.times, path.points[::-1])
+
+
+def max_gap(a, b):
+    return max(np.abs(x - y).max(initial=0.0) for x, y in zip(a.tensors, b.tensors))
+
+
+class TestSignatureIdentities:
+    def test_matches_chen_product_of_segment_exponentials(self):
+        for seed, dim, level in ((1, 2, 6), (2, 3, 4), (3, 1, 9)):
+            p = make_piecewise_linear(seed, 7, dim, 1.4)
+            assert max_gap(truncated_signature(p, level=level), slow_signature(p.points, level)) <= 1e-14
+
+    def test_matches_chen_product_on_clipped_interval(self):
+        p = make_piecewise_linear(4, 6, 2, 1.1)
+        s, t = 0.13, 0.87
+        inner = p.points[(p.times > s) & (p.times < t)]
+        clipped = np.vstack([p.evaluate(s)[None, :], inner, p.evaluate(t)[None, :]])
+        got = truncated_signature(p, (s, t), 6)
+        assert max_gap(got, slow_signature(clipped, 6)) <= 1e-14
+
+    def test_reversal_map(self):
+        for seed, dim in ((5, 2), (6, 3)):
+            p = make_piecewise_linear(seed, 6, dim, 1.3)
+            expected = truncated_signature(reverse(p), level=5)
+            assert max_gap(reversed_signature(truncated_signature(p, level=5)), expected) <= 1e-14
+
+    def test_concatenation_is_chen_product(self):
+        gamma = make_piecewise_linear(7, 5, 2, 0.9)
+        sigma = make_piecewise_linear(8, 6, 2, 0.7)
+        whole = truncated_signature(concat_reverse(gamma, sigma), level=8)
+        parts = chen_product(truncated_signature(gamma, level=8), truncated_signature(reverse(sigma), level=8))
+        assert max_gap(whole, parts) <= 1e-13
 
 
 class TestIteratedSums:
