@@ -1,9 +1,11 @@
 """Triangular-grid solvers for the quadratic functional equation.
 
 These O(n^3) recursions are the hot loops of the package, so they come in
-two flavours: ``numba.njit``-compiled loops (the default) and a vectorised
-pure-numpy path.  Set ``SIGDEV_DISABLE_NUMBA=1`` to force the numpy path;
-it is also used automatically when numba is not importable.
+two flavours: ``numba.njit``-compiled loops (the default) and a
+numpy/BLAS path that fills each grid column with one mat-vec (left-point)
+or one unit upper-triangular solve (right-point).  Set
+``SIGDEV_DISABLE_NUMBA=1`` to force the numpy path; it is also used
+automatically when numba is not importable.
 
 Both backends fix their per-cell summation order, so each one is
 deterministic on its own.  They agree to machine precision but are not
@@ -24,6 +26,10 @@ Grid conventions, with increments ``D[k] = g(t[k+1]) - g(t[k])`` and
 
       K[i][b] = (K[i][b-1] - sum_{k=i+1..b-1} K[i][k] K[k][b] gram[k-1, b-1])
                 / (1 + gram[b-1, b-1])
+
+  Column b is the unit upper-triangular system (I + U) x = r with
+  x[i] = K[i][b], r[i] = K[i][b-1] / (1 + gram[b-1, b-1]) and
+  U[i][k] = K[i][k] gram[k-1, b-1] / (1 + gram[b-1, b-1]) for k > i.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from __future__ import annotations
 import os
 
 import numpy as np
+from scipy.linalg.blas import dtrsv
 
 NUMBA_DISABLED = os.environ.get("SIGDEV_DISABLE_NUMBA", "").strip().lower() in {
     "1",
@@ -62,21 +69,20 @@ def explicit_grid_numpy(gram: np.ndarray) -> np.ndarray:
 
 
 def implicit_grid_numpy(gram: np.ndarray) -> np.ndarray:
-    """Right-point grid solved wavefront by wavefront (constant gap j)."""
+    """Right-point grid via one BLAS triangular solve per column."""
     n = gram.shape[0]
     size = n + 1
     grid = np.eye(size)
-    for j in range(1, size):
-        m = size - j
-        acc = np.zeros(m)
-        for k in range(1, j):
-            left = grid.diagonal(k)[:m]
-            right = grid.diagonal(j - k)[k : k + m]
-            w = gram.diagonal(j - k)[k - 1 : k - 1 + m]
-            acc = acc + left * right * w
-        denom = 1.0 + gram.diagonal()[j - 1 : j - 1 + m]
-        rows = np.arange(m)
-        grid[rows, rows + j] = (grid.diagonal(j - 1)[:m] - acc) / denom
+    system_buffer = np.empty(n * n)  # reused: a fresh b x b array per column costs page faults
+    scale = np.zeros(n)  # scale[0] stays 0: K[0][b] has no k = 0 term
+    for b in range(1, size):
+        denom = 1.0 + gram[b - 1, b - 1]
+        np.divide(gram[0 : b - 1, b - 1], denom, out=scale[1:b])
+        system = system_buffer[: b * b].reshape(b, b)
+        np.multiply(grid[0:b, 0:b], scale[:b], out=system)
+        # dtrsv reads only the strict upper triangle (diag=1); system.T is the
+        # Fortran-ordered view of it, solved transposed to avoid a copy.
+        grid[0:b, b] = dtrsv(system.T, grid[0:b, b - 1] / denom, lower=1, trans=1, diag=1)
     return grid
 
 

@@ -133,6 +133,21 @@ class TestImplicitScheme:
         for a, b in zip(diffs[:-1], diffs[1:]):
             assert a / b >= 1.7
 
+    def test_triangular_solves_match_cell_recurrence(self):
+        rng = np.random.default_rng(4)
+        deltas = rng.normal(size=(40, 2)) * 0.1
+        deltas[[0, 17, 39]] = 0.0
+        gram = deltas @ deltas.T
+        size = len(deltas) + 1
+        expected = np.eye(size)
+        for b in range(1, size):
+            for i in range(b - 1, -1, -1):
+                acc = sum(expected[i, k] * expected[k, b] * gram[k - 1, b - 1] for k in range(i + 1, b))
+                expected[i, b] = (expected[i, b - 1] - acc) / (1.0 + gram[b - 1, b - 1])
+        got = backend.implicit_grid_numpy(gram)
+        assert np.abs(got - expected).max() <= 1e-13
+        assert np.array_equal(got, backend.implicit_grid_numpy(gram))
+
 
 class TestGridInvariants:
     def test_diagonal_is_exactly_one(self):
