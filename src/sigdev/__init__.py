@@ -55,6 +55,7 @@ from .sdkernel import (
     k_sd,
     semicircle_charfn,
     series_gram,
+    series_kernel,
     series_oracle,
     series_tail_bound,
     solve_explicit,
@@ -66,7 +67,6 @@ from .signature import (
     coordinate_coefficient,
     iterated_sums_signature,
     level_for_remainder,
-    reversed_signature,
     signature_gram,
     signature_kernel_truncated,
     truncated_signature,

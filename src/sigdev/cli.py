@@ -35,6 +35,7 @@ from .paths import (
 from .randomdev import GUE, EnsembleConfig, rk_montecarlo
 from .sdkernel import (
     semicircle_charfn,
+    series_kernel,
     series_oracle,
     solve_explicit,
     solve_implicit,
@@ -123,20 +124,19 @@ def cmd_kernel(args) -> int:
         res = signature_kernel_truncated(gamma, sigma, level=level)
         value, tail = res.value, res.remainder_bound
         detail["level"] = level
+    elif scheme == "sd_series":
+        tol = args.tol if args.tol is not None else 1e-6
+        res = series_kernel(gamma, sigma, tol)
+        value, tail = res.value, res.tail_bound
+        detail["tol"] = tol
+        detail["level"] = res.level
     else:
         y = concat_reverse(gamma, sigma)
-        if scheme == "sd_series":
-            tol = args.tol if args.tol is not None else 1e-6
-            res = series_oracle(y, tol=tol)
-            value, tail = res.value, res.tail_bound
-            detail["tol"] = tol
-            detail["level"] = res.level
-        else:
-            part = dyadic_refine(Partition(y.times), args.dyadic)
-            incs = piecewise_constant_increments(y, part)
-            solver = solve_explicit if scheme == "sd_explicit" else solve_implicit
-            value = solver(incs, part).final
-            detail["lambda"] = args.dyadic
+        part = dyadic_refine(Partition(y.times), args.dyadic)
+        incs = piecewise_constant_increments(y, part)
+        solver = solve_explicit if scheme == "sd_explicit" else solve_implicit
+        value = solver(incs, part).final
+        detail["lambda"] = args.dyadic
     if args.format == "json":
         payload = {"value": value, "kernel": scheme, "detail": detail, "tail_bound": tail}
         _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DomainError
 from .paths import Path
 from .sdkernel import k_sd, series_gram
-from .signature import signature_gram
+from .signature import _fill_gram, signature_gram
 
 KERNELS = ("sd_explicit", "sd_implicit", "sd_series", "sig_truncated")
 
@@ -73,15 +73,14 @@ class GramMatrix:
         object.__setattr__(self, "values", values)
 
 
-def _grid_gram(paths_a, paths_b, kernel: str, spec: KernelSpec, symmetric: bool) -> np.ndarray:
-    """One grid solve per pair; with a single sample only the upper
-    triangle is solved."""
+def _grid_gram(paths_a, paths_b, kernel: str, spec: KernelSpec) -> np.ndarray:
+    """One grid solve per pair."""
     scheme = "explicit" if kernel == "sd_explicit" else "implicit"
-    values = np.zeros((len(paths_a), len(paths_b)))
-    for i, a in enumerate(paths_a):
-        for j in range(i if symmetric else 0, len(paths_b)):
-            values[i, j] = k_sd(a, paths_b[j], scheme, mesh=spec.mesh)
-    return values
+
+    def column(j):
+        return lambda i: k_sd(paths_a[i], paths_b[j], scheme, mesh=spec.mesh)
+
+    return _fill_gram(len(paths_a), len(paths_b), paths_b is paths_a, column)
 
 
 def gram(
@@ -93,14 +92,13 @@ def gram(
     """Kernel matrix between two path samples.
 
     The series and signature kernels sign each path once and contract the
-    signatures for all pairs at once (``series_gram``, ``signature_gram``);
-    the grid kernels solve one grid per pair.  With a single sample (or
-    ``sample_b is sample_a``) the result is the upper triangle mirrored, so
-    it is exactly symmetric.
+    signatures pair by pair (``series_gram``, ``signature_gram``); the grid
+    kernels solve one grid per pair.  With a single sample (or
+    ``sample_b is sample_a``) only the upper triangle is evaluated and then
+    mirrored, so the matrix is exactly symmetric.
     """
     if kernel not in KERNELS:
         raise DomainError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
-    symmetric = sample_b is None or sample_b is sample_a
     sample_b = sample_a if sample_b is None else sample_b
     if sample_a.dim != sample_b.dim:
         raise DomainError("samples must share path dimension")
@@ -110,9 +108,7 @@ def gram(
     elif kernel == "sig_truncated":
         values = signature_gram(paths_a, paths_b, spec.level)
     else:
-        values = _grid_gram(paths_a, paths_b, kernel, spec, symmetric)
-    if symmetric:
-        values = np.triu(values) + np.triu(values, 1).T
+        values = _grid_gram(paths_a, paths_b, kernel, spec)
     return GramMatrix(values, spec.tag(kernel))
 
 

@@ -37,7 +37,13 @@ from .paths import (
     piecewise_constant_increments,
     refine_to_variation,
 )
-from .signature import _check_same_dim, _reverse_words, _signature_rows, truncated_signature
+from .signature import (
+    _check_feature_budget,
+    _check_same_dim,
+    _fill_gram,
+    _reverse_words,
+    truncated_signature,
+)
 
 MAX_SERIES_LEVEL = 16
 
@@ -264,45 +270,91 @@ def _moment_table(dim: int, length: int) -> np.ndarray:
     return table
 
 
+def _series_column(sig: Sequence[np.ndarray], dim: int, level: int, tables) -> dict[int, np.ndarray]:
+    """Right-hand factors of the series for a path sigma with signature
+    levels ``sig``.  Entry m (even, 2 <= m <= level) concatenates, for
+    p = 0..m and q = m - p, the vectors Phi_m[p, q] S^q(<-sigma), where
+    S^K(<-sigma) = (-1)^q S^rev(K)(sigma); its dot product with levels
+    0..m of S(gamma), concatenated, is level m of the series for
+    gamma * <-sigma."""
+    backwards = [_reverse_words(t[None, :], dim, q)[0] for q, t in enumerate(sig[: level + 1])]
+    return {
+        m: np.concatenate(
+            [tables[m].reshape(dim**p, dim ** (m - p)) @ backwards[m - p] for p in range(m + 1)]
+        )
+        for m in range(2, level + 1, 2)
+    }
+
+
+def _series_pair(features: np.ndarray, column: dict[int, np.ndarray], level: int) -> float:
+    """K_SD(gamma, sigma) at one level from the concatenated signature
+    levels of gamma and the factors ``_series_column`` built for sigma."""
+    value = 1.0
+    for m in range(2, level + 1, 2):
+        part = column[m]
+        term = float(np.dot(features[: part.shape[0]], part))
+        value += -term if (m // 2) % 2 else term
+    return value
+
+
+def _series_gram(paths_a: Sequence[Path], paths_b: Sequence[Path], tol: float):
+    """Series values of every pair, with the level of each pair and the
+    1-variation of each path."""
+    if tol <= 0:
+        raise DomainError("tol must be positive")
+    dim = _check_same_dim(paths_a, paths_b)
+    same = paths_b is paths_a
+    var_a = [one_variation(p) for p in paths_a]
+    var_b = var_a if same else [one_variation(p) for p in paths_b]
+    levels = np.array([[_series_level(u + v, tol) for v in var_b] for u in var_a])
+    row_levels = [int(level) for level in levels.max(axis=1)]
+    _check_feature_budget(dim, row_levels)
+    tables = {m: _moment_table(dim, m) for m in range(2, int(levels.max()) + 1, 2)}
+    features = [
+        np.concatenate(truncated_signature(p, level=level).tensors)
+        for p, level in zip(paths_a, row_levels)
+    ]
+
+    def column(j):
+        level = int(levels[:, j].max())
+        if same:
+            sig = np.split(features[j], np.cumsum([dim**m for m in range(level)]))
+        else:
+            sig = truncated_signature(paths_b[j], level=level).tensors
+        factors = _series_column(sig, dim, level, tables)
+        return lambda i: _series_pair(features[i], factors, int(levels[i, j]))
+
+    return _fill_gram(len(paths_a), len(paths_b), same, column), levels, var_a, var_b
+
+
 def series_gram(paths_a: Sequence[Path], paths_b: Sequence[Path], tol: float = 1e-6) -> np.ndarray:
     """Schwinger-Dyson kernel K_SD(a_i, b_j) of every pair by the series.
 
     Pair (i, j) is truncated at the level ``series_oracle`` picks for
     gamma * <-sigma, whose 1-variation is |a_i|_1 + |b_j|_1, and a pair
     that needs more than MAX_SERIES_LEVEL raises the same resource error.
-    Each path is signed once, up to the deepest level of its pairs.  By
-    Chen's identity S(gamma * <-sigma) = S(gamma) (x) S(<-sigma), so level m
-    of the series is a bilinear form,
+    Each path is signed once, up to the deepest level of its pairs: the
+    signatures of ``paths_a`` are kept, each path of ``paths_b`` is signed
+    when its column is filled.  By Chen's identity
+    S(gamma * <-sigma) = S(gamma) (x) S(<-sigma), so level m of the series
+    is a bilinear form,
 
         sum_{p+q=m} S^p(gamma) Phi_m[p, q] S^q(<-sigma),
 
-    with Phi_m the level-m moment table reshaped to d^p x d^q, and
-    S^K(<-sigma) = (-1)^q S^rev(K)(sigma).  The reversal is applied to the
-    table's last q letters rather than to every signature, and one chain
-    of matrix products per (p, q) evaluates the form for all pairs at once.
+    with Phi_m the level-m moment table reshaped to d^p x d^q.  The factors
+    Phi_m[p, q] S^q(<-sigma) are formed once per path of ``paths_b``, and
+    each entry is then one dot product per level.  ``series_kernel`` runs
+    the same code on one pair, so the two agree bit for bit.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    dim = _check_same_dim(paths_a, paths_b)
-    same = paths_b is paths_a
-    var_a = np.array([one_variation(p) for p in paths_a])
-    var_b = var_a if same else np.array([one_variation(p) for p in paths_b])
-    levels = np.array([[_series_level(u + v, tol) for v in var_b] for u in var_a])
-    top = int(levels.max())
+    return _series_gram(paths_a, paths_b, tol)[0]
 
-    sig_a = _signature_rows(paths_a, levels.max(axis=1), top)
-    sig_b = sig_a if same else _signature_rows(paths_b, levels.max(axis=0), top)
-    values = np.ones(levels.shape)
-    for m in range(2, top + 1, 2):
-        table = _moment_table(dim, m)
-        term = np.zeros(levels.shape)
-        for p in range(m + 1):
-            q = m - p
-            form = _reverse_words(table.reshape(dim**p, dim**q), dim, q)
-            term += np.linalg.multi_dot([sig_a[p], form, sig_b[q].T])
-        sign = -1.0 if (m // 2) % 2 else 1.0
-        values += np.where(levels >= m, sign * term, 0.0)
-    return values
+
+def series_kernel(gamma: Path, sigma: Path, tol: float = 1e-6) -> SeriesKernel:
+    """K_SD(gamma, sigma) by the series of gamma * <-sigma, evaluated as one
+    entry of ``series_gram``, with its level and certified tail bound."""
+    values, levels, var_a, var_b = _series_gram((gamma,), (sigma,), tol)
+    level = int(levels[0, 0])
+    return SeriesKernel(float(values[0, 0]), series_tail_bound(var_a[0] + var_b[0], level), level)
 
 
 def k_sd(
@@ -326,9 +378,9 @@ def k_sd(
         raise DomainError("paths must share dimension")
     if scheme not in SCHEMES:
         raise DomainError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
-    y = concat_reverse(gamma, sigma)
     if scheme == "series":
-        return series_oracle(y, tol=tol).value
+        return series_kernel(gamma, sigma, tol).value
+    y = concat_reverse(gamma, sigma)
     if partition is None:
         if mesh is not None:
             partition = refine_to_variation(y, mesh)

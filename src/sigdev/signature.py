@@ -18,6 +18,8 @@ from .errors import DomainError, ResourceLimitError
 from .paths import IncrementSequence, Path, _clip_points, one_variation
 
 MAX_TENSOR_ENTRIES = 10_000_000
+# coefficients of the signatures one Gram matrix keeps in memory at once
+MAX_FEATURE_ENTRIES = 4 * MAX_TENSOR_ENTRIES
 
 
 def _check_storage(dim: int, level: int) -> None:
@@ -139,12 +141,6 @@ def _reverse_words(rows: np.ndarray, dim: int, m: int) -> np.ndarray:
     return -flipped if m % 2 else flipped
 
 
-def reversed_signature(sig: TruncatedSignature) -> TruncatedSignature:
-    """Signature of the time-reversed path, from the signature itself."""
-    levels = tuple(_reverse_words(t[None, :], sig.dim, m)[0] for m, t in enumerate(sig.tensors))
-    return TruncatedSignature(sig.dim, sig.level, levels)
-
-
 def _check_same_dim(paths_a: Sequence[Path], paths_b: Sequence[Path]) -> int:
     if not paths_a or not paths_b:
         raise DomainError("need at least one path on each side")
@@ -154,33 +150,59 @@ def _check_same_dim(paths_a: Sequence[Path], paths_b: Sequence[Path]) -> int:
     return dims.pop()
 
 
-def _signature_rows(paths: Sequence[Path], levels: Sequence[int], top: int) -> list[np.ndarray]:
-    """Level m of every path's signature as one row of an (n, d^m) matrix,
-    for m <= top.  Path i is signed once, at levels[i] <= top; its rows
-    above that level stay zero."""
-    dim = paths[0].dim
-    rows = [np.zeros((len(paths), dim**m)) for m in range(top + 1)]
-    for i, (path, level) in enumerate(zip(paths, levels)):
-        for m, tensor in enumerate(truncated_signature(path, level=int(level)).tensors):
-            rows[m][i] = tensor
-    return rows
+def _check_feature_budget(dim: int, levels: Sequence[int]) -> None:
+    """A Gram route keeps the signatures of one whole sample in memory, path
+    i up to levels[i]; refuse, before signing anything, when their
+    coefficients together exceed MAX_FEATURE_ENTRIES."""
+    total = sum(dim**m for level in levels for m in range(int(level) + 1))
+    if total > MAX_FEATURE_ENTRIES:
+        raise ResourceLimitError(
+            f"signatures of {len(levels)} paths take {total} coefficients, over the "
+            f"{MAX_FEATURE_ENTRIES} coefficient budget of a Gram matrix"
+        )
+
+
+def _fill_gram(rows: int, cols: int, same: bool, column) -> np.ndarray:
+    """values[i, j] = column(j)(i), one column at a time, so a column's
+    per-path work is done once.  With one sample (``same``) only i <= j is
+    evaluated and mirrored, so the matrix is exactly symmetric."""
+    values = np.empty((rows, cols))
+    for j in range(cols):
+        entry = column(j)
+        for i in range(j + 1 if same else rows):
+            values[i, j] = entry(i)
+            if same:
+                values[j, i] = values[i, j]
+    return values
+
+
+def _signature_pair(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> float:
+    """sum_m <a^m, b^m> over the signature levels, level 0 first."""
+    value = 0.0
+    for x, y in zip(a, b):
+        value += float(np.dot(x, y))
+    return value
 
 
 def signature_gram(paths_a: Sequence[Path], paths_b: Sequence[Path], level: int) -> np.ndarray:
     """Truncated signature kernel of every pair, sum_{m<=L} <S^m(a_i), S^m(b_j)>.
 
-    Each path is signed once; its levels 0..L, concatenated, form one row
-    of a feature matrix F, and the Gram matrix is the product F_a F_b^T.
-    Passing the same sequence twice signs it once.
+    Each path is signed once: the signatures of ``paths_a`` are kept, and
+    each path of ``paths_b`` is signed when its column is filled (passing
+    the same sequence twice signs it once).  Every entry is the same sum of
+    level-wise dot products that ``signature_kernel_truncated`` returns, so
+    the two agree bit for bit.
     """
-    _check_same_dim(paths_a, paths_b)
+    dim = _check_same_dim(paths_a, paths_b)
+    _check_feature_budget(dim, [level] * len(paths_a))
+    sig_a = [truncated_signature(p, level=level).tensors for p in paths_a]
+    same = paths_b is paths_a
 
-    def features(paths):
-        return np.hstack(_signature_rows(paths, [level] * len(paths), level))
+    def column(j):
+        sig_b = sig_a[j] if same else truncated_signature(paths_b[j], level=level).tensors
+        return lambda i: _signature_pair(sig_a[i], sig_b)
 
-    f_a = features(paths_a)
-    f_b = f_a if paths_b is paths_a else features(paths_b)
-    return f_a @ f_b.T
+    return _fill_gram(len(paths_a), len(paths_b), same, column)
 
 
 def iterated_sums_signature(incs: IncrementSequence, level: int) -> TruncatedSignature:
@@ -255,9 +277,7 @@ def signature_kernel_truncated(
     t = sigma.end_time if t is None else float(t)
     sig_a = truncated_signature(gamma, (gamma.start_time, s), level)
     sig_b = truncated_signature(sigma, (sigma.start_time, t), level)
-    value = 0.0
-    for m in range(level + 1):
-        value += float(np.dot(sig_a.tensors[m], sig_b.tensors[m]))
+    value = _signature_pair(sig_a.tensors, sig_b.tensors)
     var_product = one_variation(gamma, (gamma.start_time, s)) * one_variation(
         sigma, (sigma.start_time, t)
     )

@@ -77,17 +77,15 @@ class TestGram:
         )
 
     def test_matches_direct_kernel_calls(self):
-        # the Gram contracts per-path signatures in another summation order
-        # than the per-pair routes, so agreement is to rounding, not bits
         a = fbm_sample((4, 5))
         spec = KernelSpec(tol=1e-7)
         matrix = gram(a, None, "sd_series", spec).values
         direct = k_sd(a.paths[0], a.paths[1], "series", tol=1e-7)
-        assert matrix[0, 1] == pytest.approx(direct, abs=1e-12)
+        assert matrix[0, 1] == direct
         sig_matrix = gram(a, None, "sig_truncated", KernelSpec(level=6)).values
-        assert sig_matrix[0, 1] == pytest.approx(
-            signature_kernel_truncated(a.paths[0], a.paths[1], level=6).value, abs=1e-12
-        )
+        assert sig_matrix[0, 1] == signature_kernel_truncated(
+            a.paths[0], a.paths[1], level=6
+        ).value
 
     def test_unknown_kernel(self):
         with pytest.raises(DomainError):
@@ -170,6 +168,34 @@ class TestBatchedGrams:
         for kernel, spec in (("sd_series", KernelSpec(tol=1e-8)), ("sig_truncated", KernelSpec(level=7))):
             values = gram(sample, None, kernel, spec).values
             assert np.array_equal(values, values.T)
+
+    def test_entries_equal_single_pair_routes_bit_for_bit(self):
+        a = paths_of_variation((0.05, 0.35, 0.75), seed=90)
+        b = paths_of_variation((0.2, 0.6), seed=95, segments=6)
+        for left, right in ((a, a), (a, b), (b, a)):
+            series = series_gram(left, right, 1e-8)
+            signature = signature_gram(left, right, 6)
+            for i, g in enumerate(left):
+                for j, s in enumerate(right):
+                    assert series[i, j] == k_sd(g, s, "series", tol=1e-8)
+                    assert signature[i, j] == signature_kernel_truncated(g, s, level=6).value
+
+    def test_feature_budget_raises_before_signing(self):
+        # six d=3 paths at level 14 hold 6 * 7.2e6 coefficients, over 4e7,
+        # though each single signature passes its own 1e7-entry check
+        paths = paths_of_variation((0.85,) * 6, seed=100, dim=3)
+        with pytest.raises(ResourceLimitError, match="budget"):
+            signature_gram(paths, paths, 14)
+        with pytest.raises(ResourceLimitError, match="budget"):
+            series_gram(paths, paths, 1e-6)
+        signature_gram(paths[:2], paths[:2], 4)
+
+    def test_cli_gram_exits_3_over_feature_budget(self, tmp_path, capsys):
+        sample = tmp_path / "sample.jsonl"
+        paths = paths_of_variation((0.85,) * 6, seed=110, dim=3)
+        write_paths_jsonl([f"p{k}" for k in range(6)], paths, sample)
+        assert main(["gram", str(sample), "--kernel", "sig_truncated", "--level", "14"]) == 3
+        assert "budget" in capsys.readouterr().err
 
     def test_dimension_mismatch(self):
         a = paths_of_variation((0.3,), dim=1)
