@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sigdev import (
     COMPLEX_GINIBRE,
@@ -15,6 +16,7 @@ from sigdev import (
     sigkernel_montecarlo,
     unitary_development,
 )
+from sigdev.randomdev import _expm
 from sigdev.sdkernel import exact_straight_line
 
 
@@ -79,6 +81,49 @@ class TestSampleMatrices:
     def test_sample_index_range(self):
         with pytest.raises(DomainError):
             sample_matrices(gue_cfg(), 99)
+
+
+def _alpha(x):
+    """max(|X^2|_1^(1/2), |X^3|_1^(1/3)), the quantity _expm scales and bounds by."""
+    x2 = x @ x
+    return max(np.linalg.norm(x2, 1) ** 0.5, np.linalg.norm(x2 @ x, 1) ** (1.0 / 3.0))
+
+
+# Pairs straddle each alpha at which the Taylor degree steps (3 -> 6 -> ... -> 18);
+# 1.01, 2.5 and 40 take 1, 2 and 6 squarings.
+EXPM_ALPHAS = (
+    1e-8, 2.2e-4, 2.3e-4, 0.0177, 0.0178, 0.113, 0.114, 0.327, 0.328,
+    0.656, 0.658, 1.0, 1.01, 2.5, 40.0,
+)
+
+
+class TestTaylorExponential:
+    @pytest.mark.parametrize("n", [1, 2, 24, 200])
+    @pytest.mark.parametrize("kind", [GUE, COMPLEX_GINIBRE])
+    def test_matches_scipy_expm(self, n, kind):
+        base = sample_matrices(EnsembleConfig(kind, n, 1, 17, 1), 0)[0]
+        if kind == GUE:
+            base = 1j * base
+        unit = base / _alpha(base)
+        for alpha in EXPM_ALPHAS:
+            x = unit * alpha
+            expected = scipy.linalg.expm(x)
+            got = _expm(x.copy())
+            rel = np.linalg.norm(got - expected, 1) / np.linalg.norm(expected, 1)
+            assert rel <= 1e-13, (n, kind, alpha, rel)
+
+    def test_zero_matrix_gives_identity_exactly(self):
+        for n in (1, 2, 24):
+            assert np.array_equal(_expm(np.zeros((n, n), dtype=np.complex128)), np.eye(n))
+
+    def test_one_dimensional_gue_matches_eigendecomposition(self):
+        cfg = gue_cfg(dim_n=200)
+        mats = sample_matrices(cfg, 0)
+        deltas = np.array([[0.3], [-0.1], [0.5]])
+        z = unitary_development(IncrementSequence(deltas), mats, cfg.dim_n)
+        eigvals, eigvecs = np.linalg.eigh(mats[0])
+        phase = np.exp(1j * eigvals * deltas.sum() / np.sqrt(cfg.dim_n))
+        assert np.abs(z - (eigvecs * phase) @ eigvecs.conj().T).max() <= 1e-13
 
 
 class TestUnitaryDevelopment:
