@@ -1,15 +1,9 @@
 """Triangular-grid solvers for the quadratic functional equation.
 
-These O(n^3) recursions are the hot loops of the package, so they come in
-two flavours: ``numba.njit``-compiled loops (the default) and a
-numpy/BLAS path that fills each grid column with one mat-vec (left-point)
-or one unit upper-triangular solve (right-point).  Set
-``SIGDEV_DISABLE_NUMBA=1`` to force the numpy path; it is also used
-automatically when numba is not importable.
-
-Both backends fix their per-cell summation order, so each one is
-deterministic on its own.  They agree to machine precision but are not
-bitwise identical to each other (BLAS uses pairwise summation).
+These O(n^3) recursions are the hot loops of the package.  They run on
+numpy/BLAS: each grid column is one mat-vec (left-point) or one unit
+upper-triangular solve (right-point), in a fixed summation order, so the
+output is deterministic bit for bit.
 
 Grid conventions, with increments ``D[k] = g(t[k+1]) - g(t[k])`` and
 ``gram[p, q] = <D[p], D[q]>``:
@@ -34,30 +28,16 @@ Grid conventions, with increments ``D[k] = g(t[k+1]) - g(t[k])`` and
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-from scipy.linalg.blas import dtrsv
 
-NUMBA_DISABLED = os.environ.get("SIGDEV_DISABLE_NUMBA", "").strip().lower() in {
-    "1",
-    "true",
-    "yes",
-    "on",
-}
+BACKEND = "numpy"  # the only backend; named in the benchmark's environment record
 
-if NUMBA_DISABLED:
-    _HAVE_NUMBA = False
-else:
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover
-        _HAVE_NUMBA = False
+# Right-point columns taller than this are solved by row blocks, so the
+# scaled copy of the system is one block x block diagonal block at a time.
+_SOLVE_BLOCK = 128
 
 
-def explicit_grid_numpy(gram: np.ndarray) -> np.ndarray:
+def explicit_grid(gram: np.ndarray) -> np.ndarray:
     """Left-point grid via one BLAS mat-vec per column."""
     n = gram.shape[0]
     size = n + 1
@@ -68,69 +48,36 @@ def explicit_grid_numpy(gram: np.ndarray) -> np.ndarray:
     return grid
 
 
-def implicit_grid_numpy(gram: np.ndarray) -> np.ndarray:
-    """Right-point grid via one BLAS triangular solve per column."""
+def implicit_grid(gram: np.ndarray) -> np.ndarray:
+    """Right-point grid via unit upper-triangular solves, one per column.
+
+    Column b is solved by row blocks of at most ``_SOLVE_BLOCK`` rows from
+    the bottom up: each block first subtracts one mat-vec of the grid
+    against the scaled entries already solved below it, then solves its
+    diagonal block.  A column of at most one block is a single solve.
+    """
+    from scipy.linalg.blas import dtrsv  # imported here: most commands never need it
+
     n = gram.shape[0]
     size = n + 1
     grid = np.eye(size)
-    system_buffer = np.empty(n * n)  # reused: a fresh b x b array per column costs page faults
+    block = min(n, _SOLVE_BLOCK)
+    system_buffer = np.empty(block * block)  # reused: a fresh array per column costs page faults
     scale = np.zeros(n)  # scale[0] stays 0: K[0][b] has no k = 0 term
     for b in range(1, size):
         denom = 1.0 + gram[b - 1, b - 1]
         np.divide(gram[0 : b - 1, b - 1], denom, out=scale[1:b])
-        system = system_buffer[: b * b].reshape(b, b)
-        np.multiply(grid[0:b, 0:b], scale[:b], out=system)
-        # dtrsv reads only the strict upper triangle (diag=1); system.T is the
-        # Fortran-ordered view of it, solved transposed to avoid a copy.
-        grid[0:b, b] = dtrsv(system.T, grid[0:b, b - 1] / denom, lower=1, trans=1, diag=1)
+        rhs = grid[0:b, b - 1] / denom
+        hi = b
+        while hi > 0:
+            lo = max(0, hi - block)
+            if hi < b:
+                rhs[lo:hi] -= grid[lo:hi, hi:b] @ (scale[hi:b] * grid[hi:b, b])
+            system = system_buffer[: (hi - lo) ** 2].reshape(hi - lo, hi - lo)
+            np.multiply(grid[lo:hi, lo:hi], scale[lo:hi], out=system)
+            # dtrsv reads only the strict upper triangle (diag=1); system.T is the
+            # Fortran-ordered view of it, solved transposed to avoid a copy.
+            grid[lo:hi, b] = dtrsv(system.T, rhs[lo:hi], lower=1, trans=1, diag=1)
+            hi = lo
     return grid
 
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _explicit_loops(gram):  # pragma: no cover - exercised via wrapper
-        n = gram.shape[0]
-        size = n + 1
-        grid = np.eye(size)
-        for b in range(1, size):
-            for a in range(b - 1, -1, -1):
-                acc = 0.0
-                for p in range(a, b - 1):
-                    acc += grid[a, p] * grid[p + 1, b - 1] * gram[p, b - 1]
-                grid[a, b] = grid[a, b - 1] - acc
-        return grid
-
-    @njit(cache=True)
-    def _implicit_loops(gram):  # pragma: no cover - exercised via wrapper
-        n = gram.shape[0]
-        size = n + 1
-        grid = np.eye(size)
-        for b in range(1, size):
-            denom = 1.0 + gram[b - 1, b - 1]
-            for i in range(b - 1, -1, -1):
-                acc = 0.0
-                for k in range(i + 1, b):
-                    acc += grid[i, k] * grid[k, b] * gram[k - 1, b - 1]
-                grid[i, b] = (grid[i, b - 1] - acc) / denom
-        return grid
-
-    def explicit_grid_numba(gram: np.ndarray) -> np.ndarray:
-        return _explicit_loops(np.ascontiguousarray(gram, dtype=np.float64))
-
-    def implicit_grid_numba(gram: np.ndarray) -> np.ndarray:
-        return _implicit_loops(np.ascontiguousarray(gram, dtype=np.float64))
-
-else:
-    explicit_grid_numba = None
-    implicit_grid_numba = None
-
-
-if _HAVE_NUMBA:
-    BACKEND = "numba"
-    explicit_grid = explicit_grid_numba
-    implicit_grid = implicit_grid_numba
-else:
-    BACKEND = "numpy"
-    explicit_grid = explicit_grid_numpy
-    implicit_grid = implicit_grid_numpy

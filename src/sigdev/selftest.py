@@ -11,7 +11,6 @@ import itertools
 
 import numpy as np
 
-from . import backend
 from .freeprob import (
     DyckWord,
     catalan,
@@ -160,16 +159,6 @@ def check_zero_increment_insertion():
         assert a == b, f"zero increment changed {solver.__name__}"
 
 
-def check_backends_agree():
-    if backend.explicit_grid_numba is None:
-        return
-    rng = np.random.default_rng(11)
-    incs = rng.normal(size=(40, 2)) * 0.05
-    g = incs @ incs.T
-    assert np.abs(backend.explicit_grid_numpy(g) - backend.explicit_grid_numba(g)).max() <= 1e-12
-    assert np.abs(backend.implicit_grid_numpy(g) - backend.implicit_grid_numba(g)).max() <= 1e-12
-
-
 def check_schemes_match_bessel():
     incs = IncrementSequence(np.full((64, 1), 1.0 / 64))
     ref = exact_straight_line(1.0, 0.0, 1.0)
@@ -244,7 +233,6 @@ ALL_CHECKS = [
     ("freeprob Schwinger-Dyson identities", check_schwinger_dyson_identities),
     ("sdkernel grid diagonals are one", check_grid_diagonals),
     ("sdkernel zero-increment insertion is neutral", check_zero_increment_insertion),
-    ("sdkernel backends agree", check_backends_agree),
     ("sdkernel schemes near Bessel value", check_schemes_match_bessel),
     ("sdkernel series matches Bessel value", check_series_against_bessel),
     ("sdkernel series is 1 on tree-like paths", check_series_tree_like),

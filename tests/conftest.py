@@ -1,15 +1,4 @@
 import numpy as np
-import pytest
-
-from sigdev import backend
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_backends():
-    """Trigger numba compilation once so timed tests measure the algorithms."""
-    gram = np.eye(3) * 0.01
-    backend.explicit_grid(gram)
-    backend.implicit_grid(gram)
 
 
 def make_piecewise_linear(seed: int, n_segments: int, dim: int, variation: float):

@@ -7,7 +7,6 @@ complete; without ``-s`` pytest shows them for failing criteria only.
 import csv
 import itertools
 import math
-import os
 import subprocess
 import sys
 import time
@@ -311,8 +310,6 @@ def test_criterion_8_figure_shape(tmp_path):
 
 
 def test_criterion_9_byte_determinism(tmp_path):
-    env = dict(os.environ)
-    env["SIGDEV_DISABLE_NUMBA"] = "1"
     line_csv = tmp_path / "line.csv"
     line_csv.write_text("t,x1\n0.0,0.0\n1.0,1.0\n")
     sample = tmp_path / "sample.jsonl"
@@ -336,7 +333,6 @@ def test_criterion_9_byte_determinism(tmp_path):
             proc = subprocess.run(
                 [sys.executable, "-m", "sigdev"] + argv,
                 capture_output=True,
-                env=env,
                 check=False,
             )
             if proc.returncode != 0:
@@ -344,7 +340,7 @@ def test_criterion_9_byte_determinism(tmp_path):
             outputs.append(proc.stdout)
         if outputs[0] != outputs[1]:
             ok, detail = False, f"{name} output differs between runs"
-    # the numba-backed default must be deterministic as well
+    # converge with no Monte-Carlo rows must be deterministic as well
     first = second = None
     for run in range(2):
         proc = subprocess.run(
@@ -354,8 +350,8 @@ def test_criterion_9_byte_determinism(tmp_path):
             check=False,
         )
         if proc.returncode != 0:
-            ok, detail = False, f"numba converge exited {proc.returncode}"
+            ok, detail = False, f"grid-only converge exited {proc.returncode}"
         first, second = second, proc.stdout
     if first != second:
-        ok, detail = False, "numba-backend output differs between runs"
+        ok, detail = False, "grid-only converge output differs between runs"
     _report(9, "seeded commands produce byte-identical output", ok, detail)

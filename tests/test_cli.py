@@ -1,5 +1,7 @@
 import csv
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -226,3 +228,13 @@ class TestEnvOverrides:
     def test_bad_env_value_rejected(self, monkeypatch, capsys):
         monkeypatch.setenv("SIGDEV_SEED", "not-a-number")
         assert main(["genfbm", "--points", "6"]) == 2
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    """scipy.linalg is imported by the right-point solver on first use, not
+    by ``import sigdev``, so commands that never solve it skip its cost."""
+    probe = "import sys, sigdev, sigdev.cli; print('scipy.linalg' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "False"

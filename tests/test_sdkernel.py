@@ -133,7 +133,7 @@ class TestImplicitScheme:
         for a, b in zip(diffs[:-1], diffs[1:]):
             assert a / b >= 1.7
 
-    def test_triangular_solves_match_cell_recurrence(self):
+    def test_triangular_solves_match_cell_recurrence(self, monkeypatch):
         rng = np.random.default_rng(4)
         deltas = rng.normal(size=(40, 2)) * 0.1
         deltas[[0, 17, 39]] = 0.0
@@ -144,9 +144,12 @@ class TestImplicitScheme:
             for i in range(b - 1, -1, -1):
                 acc = sum(expected[i, k] * expected[k, b] * gram[k - 1, b - 1] for k in range(i + 1, b))
                 expected[i, b] = (expected[i, b - 1] - acc) / (1.0 + gram[b - 1, b - 1])
-        got = backend.implicit_grid_numpy(gram)
-        assert np.abs(got - expected).max() <= 1e-13
-        assert np.array_equal(got, backend.implicit_grid_numpy(gram))
+        # one block per column, then row blocks of 16 (edges at rows 24 and 8) and of 1
+        for block in (backend._SOLVE_BLOCK, 16, 1):
+            monkeypatch.setattr(backend, "_SOLVE_BLOCK", block)
+            got = backend.implicit_grid(gram)
+            assert np.abs(got - expected).max() <= 1e-13, block
+            assert np.array_equal(got, backend.implicit_grid(gram))
 
 
 class TestGridInvariants:
@@ -208,21 +211,6 @@ class TestGridInvariants:
         grid = solve_explicit(IncrementSequence(np.ones((2, 1)) * 0.1))
         with pytest.raises(DomainError):
             grid.value(2, 1)
-
-
-class TestBackends:
-    def test_numpy_and_numba_agree(self):
-        if backend.explicit_grid_numba is None:
-            pytest.skip("numba unavailable")
-        rng = np.random.default_rng(3)
-        gram_src = rng.normal(size=(30, 2)) * 0.1
-        gram = gram_src @ gram_src.T
-        assert np.abs(
-            backend.explicit_grid_numpy(gram) - backend.explicit_grid_numba(gram)
-        ).max() <= 1e-12
-        assert np.abs(
-            backend.implicit_grid_numpy(gram) - backend.implicit_grid_numba(gram)
-        ).max() <= 1e-12
 
 
 class TestExactStraightLine:
