@@ -32,8 +32,8 @@ import numpy as np
 
 BACKEND = "numpy"  # the only backend; named in the benchmark's environment record
 
-# Right-point columns taller than this are solved by row blocks, so the
-# scaled copy of the system is one block x block diagonal block at a time.
+# Right-point columns taller than this are solved by row blocks.  128 was
+# fastest of 64-256 at n = 480 and 960 (256 was about 20 % slower there).
 _SOLVE_BLOCK = 128
 
 
@@ -51,10 +51,11 @@ def explicit_grid(gram: np.ndarray) -> np.ndarray:
 def implicit_grid(gram: np.ndarray) -> np.ndarray:
     """Right-point grid via unit upper-triangular solves, one per column.
 
-    Column b is solved by row blocks of at most ``_SOLVE_BLOCK`` rows from
-    the bottom up: each block first subtracts one mat-vec of the grid
-    against the scaled entries already solved below it, then solves its
-    diagonal block.  A column of at most one block is a single solve.
+    A column of at most ``_SOLVE_BLOCK`` rows is one solve.  A taller column
+    is solved by row blocks from the bottom up: each block first subtracts
+    one mat-vec of the grid against the scaled entries already solved below
+    it, then solves its diagonal block, so the scaled copy of the system
+    never exceeds one block.
     """
     from scipy.linalg.blas import dtrsv  # imported here: most commands never need it
 
@@ -67,17 +68,20 @@ def implicit_grid(gram: np.ndarray) -> np.ndarray:
     for b in range(1, size):
         denom = 1.0 + gram[b - 1, b - 1]
         np.divide(gram[0 : b - 1, b - 1], denom, out=scale[1:b])
+        # dtrsv reads only the strict upper triangle (diag=1); system.T is the
+        # Fortran-ordered view of it, solved transposed to avoid a copy.
+        if b <= block:  # kept out of the block loop: its bookkeeping costs ~5 % at n ~ 80
+            system = system_buffer[: b * b].reshape(b, b)
+            np.multiply(grid[0:b, 0:b], scale[:b], out=system)
+            grid[0:b, b] = dtrsv(system.T, grid[0:b, b - 1] / denom, lower=1, trans=1, diag=1)
+            continue
         rhs = grid[0:b, b - 1] / denom
-        hi = b
-        while hi > 0:
-            lo = max(0, hi - block)
+        for hi in range(b, 0, -block):
+            lo = max(hi - block, 0)
             if hi < b:
                 rhs[lo:hi] -= grid[lo:hi, hi:b] @ (scale[hi:b] * grid[hi:b, b])
             system = system_buffer[: (hi - lo) ** 2].reshape(hi - lo, hi - lo)
             np.multiply(grid[lo:hi, lo:hi], scale[lo:hi], out=system)
-            # dtrsv reads only the strict upper triangle (diag=1); system.T is the
-            # Fortran-ordered view of it, solved transposed to avoid a copy.
             grid[lo:hi, b] = dtrsv(system.T, rhs[lo:hi], lower=1, trans=1, diag=1)
-            hi = lo
     return grid
 
