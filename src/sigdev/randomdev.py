@@ -17,10 +17,9 @@ sample set is reproducible and independent of evaluation order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
-
-import math
 
 import numpy as np
 
@@ -109,7 +108,7 @@ def _add_taylor_block(out: np.ndarray, x: np.ndarray, x2: np.ndarray, k: int) ->
 
 
 def _expm(x: np.ndarray) -> np.ndarray:
-    """exp(X) of a complex square matrix; X is overwritten.
+    """exp(X) of a complex square matrix; X may be overwritten.
 
     Scales X by 2**-s so that alpha = max(|X^2|_1^(1/2), |X^3|_1^(1/3)) <= 1,
     sums the Taylor series to the degree ``_taylor_degree`` picks by
