@@ -17,15 +17,17 @@ import io
 import json
 import os
 import sys
+from dataclasses import fields
 
+from . import sdkernel
 from .errors import DomainError, NumericError, ResourceLimitError
-from .mmd import KERNELS, KernelSpec, PathSample, gram, mmd2
+from .mmd import KERNELS, KernelSpec, PathSample, gram, mmd2, resolve_kernel
 from .paths import (
     Partition,
     Path,
-    concat_reverse,
     dyadic_refine,
     gen_fbm,
+    one_variation,
     piecewise_constant_increments,
     read_path_csv,
     read_paths_jsonl,
@@ -33,22 +35,11 @@ from .paths import (
     write_path_csv,
 )
 from .randomdev import GUE, EnsembleConfig, rk_montecarlo
-from .sdkernel import (
-    semicircle_charfn,
-    series_kernel,
-    series_oracle,
-    solve_explicit,
-    solve_implicit,
-)
+from .sdkernel import k_sd, semicircle_charfn, series_kernel, series_oracle
 from .signature import level_for_remainder, signature_kernel_truncated
-from .paths import one_variation
 
-_SCHEME_ALIASES = {
-    "explicit": "sd_explicit",
-    "implicit": "sd_implicit",
-    "series": "sd_series",
-}
-
+_GRID_KERNELS = [name for name, field in KERNELS.items() if field == "mesh"]
+_KERNEL_HELP = " | ".join(KERNELS) + " (or an sd_ name without its prefix)"
 _CONVERGE_COLUMNS = "kind,param,value,reference,error,stderr"
 
 
@@ -99,11 +90,11 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
-def _canonical_scheme(name: str) -> str:
-    name = _SCHEME_ALIASES.get(name, name)
-    if name not in KERNELS:
-        raise DomainError(f"unknown scheme {name!r}")
-    return name
+def _kernel_spec(args) -> KernelSpec:
+    """A spec of the fields given on the command line; KernelSpec's
+    defaults fill the rest."""
+    given = {f.name: getattr(args, f.name, None) for f in fields(KernelSpec)}
+    return KernelSpec(**{name: value for name, value in given.items() if value is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +103,7 @@ def _canonical_scheme(name: str) -> str:
 def cmd_kernel(args) -> int:
     gamma = read_path_csv(args.gamma)
     sigma = read_path_csv(args.sigma)
-    scheme = _canonical_scheme(args.scheme)
+    scheme = resolve_kernel(args.scheme)
     tail = None
     detail: dict[str, object] = {}
     if scheme == "sig_truncated":
@@ -125,17 +116,13 @@ def cmd_kernel(args) -> int:
         value, tail = res.value, res.remainder_bound
         detail["level"] = level
     elif scheme == "sd_series":
-        tol = args.tol if args.tol is not None else 1e-6
+        tol = _kernel_spec(args).tol
         res = series_kernel(gamma, sigma, tol)
         value, tail = res.value, res.tail_bound
         detail["tol"] = tol
         detail["level"] = res.level
     else:
-        y = concat_reverse(gamma, sigma)
-        part = dyadic_refine(Partition(y.times), args.dyadic)
-        incs = piecewise_constant_increments(y, part)
-        solver = solve_explicit if scheme == "sd_explicit" else solve_implicit
-        value = solver(incs, part).final
+        value = k_sd(gamma, sigma, scheme.removeprefix("sd_"), dyadic_order=args.dyadic)
         detail["lambda"] = args.dyadic
     if args.format == "json":
         payload = {"value": value, "kernel": scheme, "detail": detail, "tail_bound": tail}
@@ -157,13 +144,16 @@ def _load_converge_path(args) -> Path:
 
 
 def cmd_converge(args) -> int:
+    scheme = resolve_kernel(args.scheme)
+    if scheme not in _GRID_KERNELS:
+        raise DomainError(f"converge needs a grid scheme ({', '.join(_GRID_KERNELS)}), not {args.scheme!r}")
+    solver = sdkernel.solve_explicit if scheme == "sd_explicit" else sdkernel.solve_implicit
     path = _load_converge_path(args)
     tol = args.tol if args.tol is not None else 1e-8
     if path.dim == 1:
         reference = semicircle_charfn(abs(float(path.displacement[0])))
     else:
         reference = series_oracle(path, tol=tol).value
-    solver = solve_explicit if _canonical_scheme(args.scheme) == "sd_explicit" else solve_implicit
     rows: list[list] = []
     base = Partition(path.times)
     for lam in _parse_int_list(args.dyadic):
@@ -185,14 +175,6 @@ def cmd_converge(args) -> int:
     return 0
 
 
-def _kernel_spec(args) -> KernelSpec:
-    return KernelSpec(
-        mesh=args.mesh,
-        tol=args.tol if args.tol is not None else 1e-6,
-        level=args.level if args.level is not None else 8,
-    )
-
-
 def cmd_gram(args) -> int:
     ids_a, paths_a = read_paths_jsonl(args.sample_a)
     sample_a = PathSample(tuple(paths_a))
@@ -201,7 +183,7 @@ def cmd_gram(args) -> int:
         sample_b = PathSample(tuple(paths_b))
     else:
         ids_b, sample_b = ids_a, None
-    matrix = gram(sample_a, sample_b, _canonical_scheme(args.kernel), _kernel_spec(args))
+    matrix = gram(sample_a, sample_b, resolve_kernel(args.kernel), _kernel_spec(args))
     if args.format == "json":
         payload = {
             "kernel": matrix.kernel_tag,
@@ -223,7 +205,7 @@ def cmd_gram(args) -> int:
 def cmd_mmd(args) -> int:
     _, paths_a = read_paths_jsonl(args.sample_a)
     _, paths_b = read_paths_jsonl(args.sample_b)
-    kernel = _canonical_scheme(args.kernel)
+    kernel = resolve_kernel(args.kernel)
     value = mmd2(
         PathSample(tuple(paths_a)),
         PathSample(tuple(paths_b)),
@@ -294,8 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--scheme",
         default=_env_or("SCHEME", "sd_series", str),
-        help="sd_explicit | sd_implicit | sd_series | sig_truncated "
-        "(aliases: explicit, implicit, series)",
+        help=_KERNEL_HELP,
     )
     p.add_argument(
         "--lambda",
@@ -326,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--scheme",
         default=_env_or("SCHEME", "implicit", str),
-        help="grid scheme: explicit | implicit",
+        help="grid scheme: " + " | ".join(_GRID_KERNELS) + " (or without sd_)",
     )
     p.add_argument(
         "--lambda",
@@ -362,13 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--kernel",
             default=_env_or("KERNEL", "sd_series", str),
-            help="sd_explicit | sd_implicit | sd_series | sig_truncated",
+            help=_KERNEL_HELP,
         )
         p.add_argument(
             "--mesh",
             type=float,
-            default=_env_or("MESH", 0.05, float),
-            help="target per-interval 1-variation for the grid schemes",
+            default=_env_or("MESH", None, float),
+            help=f"target per-interval 1-variation for the grid schemes (default {KernelSpec.mesh:g})",
         )
         p.add_argument("--tol", type=float, default=_env_or("TOL", None, float))
         p.add_argument("--level", type=int, default=_env_or("LEVEL", None, int))

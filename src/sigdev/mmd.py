@@ -17,7 +17,25 @@ from .paths import Path
 from .sdkernel import k_sd, series_gram
 from .signature import _fill_gram, signature_gram
 
-KERNELS = ("sd_explicit", "sd_implicit", "sd_series", "sig_truncated")
+# Every kernel name, with the KernelSpec field that tunes it.  The grid
+# kernels are the ones tuned by ``mesh``.
+KERNELS = {
+    "sd_explicit": "mesh",
+    "sd_implicit": "mesh",
+    "sd_series": "tol",
+    "sig_truncated": "level",
+}
+
+
+def resolve_kernel(name: str) -> str:
+    """The kernel a full name (a key of ``KERNELS``) or a short
+    Schwinger-Dyson name (``explicit``, ``implicit``, ``series``) denotes."""
+    full = name if name in KERNELS else "sd_" + name
+    if full not in KERNELS:
+        raise DomainError(
+            f"unknown kernel {name!r}; choose from {', '.join(KERNELS)}, or an sd_ name without its prefix"
+        )
+    return full
 
 
 @dataclass(frozen=True)
@@ -52,11 +70,8 @@ class KernelSpec:
     level: int = 8
 
     def tag(self, kernel: str) -> str:
-        if kernel in ("sd_explicit", "sd_implicit"):
-            return f"{kernel}(mesh={self.mesh:g})"
-        if kernel == "sd_series":
-            return f"{kernel}(tol={self.tol:g})"
-        return f"{kernel}(level={self.level})"
+        field = KERNELS[kernel]
+        return f"{kernel}({field}={getattr(self, field):g})"
 
 
 @dataclass(frozen=True)
@@ -71,16 +86,6 @@ class GramMatrix:
         values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-
-
-def _grid_gram(paths_a, paths_b, kernel: str, spec: KernelSpec) -> np.ndarray:
-    """One grid solve per pair."""
-    scheme = "explicit" if kernel == "sd_explicit" else "implicit"
-
-    def column(j):
-        return lambda i: k_sd(paths_a[i], paths_b[j], scheme, mesh=spec.mesh)
-
-    return _fill_gram(len(paths_a), len(paths_b), paths_b is paths_a, column)
 
 
 def gram(
@@ -98,7 +103,7 @@ def gram(
     mirrored, so the matrix is exactly symmetric.
     """
     if kernel not in KERNELS:
-        raise DomainError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
+        raise DomainError(f"unknown kernel {kernel!r}; choose from {', '.join(KERNELS)}")
     sample_b = sample_a if sample_b is None else sample_b
     if sample_a.dim != sample_b.dim:
         raise DomainError("samples must share path dimension")
@@ -108,7 +113,12 @@ def gram(
     elif kernel == "sig_truncated":
         values = signature_gram(paths_a, paths_b, spec.level)
     else:
-        values = _grid_gram(paths_a, paths_b, kernel, spec)
+        scheme = kernel.removeprefix("sd_")
+
+        def column(j):
+            return lambda i: k_sd(paths_a[i], paths_b[j], scheme, mesh=spec.mesh)
+
+        values = _fill_gram(len(paths_a), len(paths_b), paths_b is paths_a, column)
     return GramMatrix(values, spec.tag(kernel))
 
 

@@ -13,6 +13,7 @@ pure function, so values can be shared freely across threads.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -285,35 +286,32 @@ def gen_fbm(hurst: float, n_points: int, dim: int, seed: int) -> Path:
 # ---------------------------------------------------------------------------
 # file formats
 
+@contextmanager
+def _opened(file, mode: str):
+    """The handle ``file``, or the file it names opened in ``mode`` ("r" or
+    "w", UTF-8, newlines written untranslated) and closed on exit."""
+    if not (isinstance(file, (str, bytes)) or hasattr(file, "__fspath__")):
+        yield file
+        return
+    with open(file, mode, encoding="utf-8", newline="" if mode == "w" else None) as handle:
+        yield handle
+
+
 def write_path_csv(path: Path, file) -> None:
     """CSV with header ``t,x1,...,xd``, one row per sample, '.' decimals."""
-    close = False
-    if isinstance(file, (str, bytes)) or hasattr(file, "__fspath__"):
-        file = open(file, "w", encoding="utf-8", newline="")
-        close = True
-    try:
+    with _opened(file, "w") as handle:
         header = "t," + ",".join(f"x{j + 1}" for j in range(path.dim))
-        file.write(header + "\n")
+        handle.write(header + "\n")
         for k in range(len(path.times)):
             row = [repr(float(path.times[k]))]
             row.extend(repr(float(v)) for v in path.points[k])
-            file.write(",".join(row) + "\n")
-    finally:
-        if close:
-            file.close()
+            handle.write(",".join(row) + "\n")
 
 
 def read_path_csv(file) -> Path:
     """Parse a path from the CSV format written by :func:`write_path_csv`."""
-    close = False
-    if isinstance(file, (str, bytes)) or hasattr(file, "__fspath__"):
-        file = open(file, "r", encoding="utf-8")
-        close = True
-    try:
-        lines = [ln.strip() for ln in file if ln.strip()]
-    finally:
-        if close:
-            file.close()
+    with _opened(file, "r") as handle:
+        lines = [ln.strip() for ln in handle if ln.strip()]
     if not lines:
         raise DomainError("empty path file")
     header = [c.strip() for c in lines[0].split(",")]
@@ -335,30 +333,16 @@ def read_path_csv(file) -> Path:
 
 def write_paths_jsonl(ids, paths, file) -> None:
     """JSON Lines: one ``{"id", "t", "x"}`` object per path."""
-    close = False
-    if isinstance(file, (str, bytes)) or hasattr(file, "__fspath__"):
-        file = open(file, "w", encoding="utf-8", newline="")
-        close = True
-    try:
+    with _opened(file, "w") as handle:
         for pid, p in zip(ids, paths):
             obj = {"id": str(pid), "t": p.times.tolist(), "x": p.points.tolist()}
-            file.write(json.dumps(obj) + "\n")
-    finally:
-        if close:
-            file.close()
+            handle.write(json.dumps(obj) + "\n")
 
 
 def read_paths_jsonl(file) -> tuple[list[str], list[Path]]:
     """Parse (ids, paths) from a JSON Lines multi-path file."""
-    close = False
-    if isinstance(file, (str, bytes)) or hasattr(file, "__fspath__"):
-        file = open(file, "r", encoding="utf-8")
-        close = True
-    try:
-        lines = [ln.strip() for ln in file if ln.strip()]
-    finally:
-        if close:
-            file.close()
+    with _opened(file, "r") as handle:
+        lines = [ln.strip() for ln in handle if ln.strip()]
     ids, paths = [], []
     for ln in lines:
         try:

@@ -268,6 +268,6 @@ def sigkernel_montecarlo(
         mats = sample_matrices(cfg, s)
         z_a = gl_development(incs_a, mats, cfg.dim_n)
         z_b = gl_development(incs_b, mats, cfg.dim_n)
-        pairings[s] = np.trace(z_a.conj().T @ z_b) / cfg.dim_n
+        pairings[s] = np.vdot(z_a, z_b) / cfg.dim_n
     estimate, stderr = _mean_stderr(pairings.real)
     return SigKernelEstimate(estimate, stderr)

@@ -47,9 +47,6 @@ from .signature import (
 
 MAX_SERIES_LEVEL = 16
 
-GRID_SCHEMES = ("explicit", "implicit")
-SCHEMES = GRID_SCHEMES + ("series",)
-
 _EINSUM_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
@@ -376,10 +373,10 @@ def k_sd(
     """
     if gamma.dim != sigma.dim:
         raise DomainError("paths must share dimension")
-    if scheme not in SCHEMES:
-        raise DomainError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
     if scheme == "series":
         return series_kernel(gamma, sigma, tol).value
+    if scheme not in ("explicit", "implicit"):
+        raise DomainError(f"unknown scheme {scheme!r}; choose from explicit, implicit, series")
     y = concat_reverse(gamma, sigma)
     if partition is None:
         if mesh is not None:

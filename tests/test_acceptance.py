@@ -50,7 +50,7 @@ from sigdev import (
 from sigdev.cli import main
 from sigdev.sdkernel import exact_straight_line
 from sigdev.randomdev import COMPLEX_GINIBRE, rk_montecarlo
-from conftest import make_piecewise_linear
+from helpers import make_piecewise_linear
 
 J1_AT_TWO = exact_straight_line(1.0, 0.0, 1.0)
 

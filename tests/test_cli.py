@@ -2,12 +2,25 @@ import csv
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from sigdev import Path, gen_fbm, read_path_csv, write_path_csv, write_paths_jsonl
+from sigdev import (
+    KernelSpec,
+    Path,
+    PathSample,
+    gen_fbm,
+    gram,
+    k_sd,
+    read_path_csv,
+    write_path_csv,
+    write_paths_jsonl,
+)
+from sigdev import sdkernel
 from sigdev.cli import main
+from sigdev.mmd import KERNELS
 from sigdev.sdkernel import exact_straight_line
 
 
@@ -80,6 +93,24 @@ class TestKernelCommand:
         assert main(["kernel", a, a, "--tol", "1e-10"]) == 3
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    def test_grid_value_is_k_sd(self, tmp_path, capsys, scheme):
+        a = write_line_csv(tmp_path, "a.csv", [0.8, 0.6], points=4)
+        b = write_line_csv(tmp_path, "b.csv", [0.5, -1.0], points=3)
+        assert main(["kernel", a, b, "--scheme", scheme, "--lambda", "3"]) == 0
+        value = capsys.readouterr().out.splitlines()[1].split(",")[0]
+        assert value == repr(k_sd(read_path_csv(a), read_path_csv(b), scheme, dyadic_order=3))
+
+    def test_readme_first_example(self, tmp_path, capsys):
+        """The README's first two commands, genfbm then the series kernel."""
+        path = str(tmp_path / "path.csv")
+        argv = ["genfbm", "--hurst", "0.75", "--points", "16", "--dim", "2",
+                "--seed", "7", "--scale", "0.25", "--out", path]
+        assert main(argv) == 0
+        assert main(["kernel", path, path]) == 0
+        value = float(capsys.readouterr().out.splitlines()[1].split(",")[0])
+        assert value == pytest.approx(1.0, abs=1e-6)
+
 
 class TestConvergeCommand:
     def test_row_contract_and_decreasing_errors(self, tmp_path):
@@ -120,6 +151,15 @@ class TestConvergeCommand:
         ]
         assert main(args) == 0
         assert len(read_rows(out)) == 2
+
+    @pytest.mark.parametrize("scheme", ["series", "sd_series", "sig_truncated"])
+    def test_non_grid_scheme_exits_2(self, tmp_path, capsys, scheme):
+        a = write_line_csv(tmp_path, "l.csv", [1.0])
+        argv = ["converge", a, "--scheme", scheme, "--lambda", "0", "--matrix-dim", ""]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sd_explicit" in captured.err and "sd_implicit" in captured.err
 
     def test_deterministic_bytes(self, tmp_path):
         a = write_line_csv(tmp_path, "l.csv", [1.0])
@@ -177,6 +217,85 @@ class TestSampleCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["row_ids"] == ["p0", "p1"]
         assert np.asarray(payload["values"]).shape == (2, 2)
+
+
+SHORT_NAMES = {"explicit": "sd_explicit", "implicit": "sd_implicit", "series": "sd_series"}
+
+
+class TestKernelNames:
+    """Every command takes each kernel by its full name and, for the
+    Schwinger-Dyson kernels, by its short name, with the same output."""
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        paths = [Path(p.times, p.points * 0.1) for p in (gen_fbm(0.75, 4, 2, s) for s in (1, 2))]
+        sample = tmp_path / "s.jsonl"
+        write_paths_jsonl(["p0", "p1"], paths, sample)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_path_csv(paths[0], a)
+        write_path_csv(paths[1], b)
+        return {"kernel": [str(a), str(b), "--scheme"], "gram": [str(sample), "--kernel"],
+                "mmd": [str(sample), str(sample), "--kernel"]}
+
+    @pytest.mark.parametrize("command", ["kernel", "gram", "mmd"])
+    def test_full_and_short_names(self, files, capsys, command):
+        outputs = {}
+        for name in [*KERNELS, *SHORT_NAMES]:
+            assert main([command, *files[command], name]) == 0, name
+            outputs[name] = capsys.readouterr().out
+        for short, full in SHORT_NAMES.items():
+            assert outputs[short] == outputs[full]
+        assert len({outputs[name] for name in KERNELS}) == len(KERNELS)
+
+    @pytest.mark.parametrize("command", ["kernel", "converge", "gram", "mmd"])
+    def test_unknown_name_exits_2(self, files, capsys, command):
+        if command == "converge":
+            argv = ["converge", files["kernel"][0], "--scheme", "rbf", "--matrix-dim", ""]
+        else:
+            argv = [command, *files[command], "rbf"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "rbf" in captured.err
+
+
+class TestSolversReachedThroughModule:
+    """Every grid route calls the solvers through the ``sdkernel`` module
+    attributes, so wrapping those attributes sees every solve."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        counts = Counter()
+        for name in ("solve_explicit", "solve_implicit"):
+            def counted(*args, _name=name, _solver=getattr(sdkernel, name), **kwargs):
+                counts[_name] += 1
+                return _solver(*args, **kwargs)
+
+            monkeypatch.setattr(sdkernel, name, counted)
+        return counts
+
+    def test_k_sd(self, calls):
+        line = Path([0.0, 1.0], [[0.0], [0.5]])
+        k_sd(line, line, "explicit", dyadic_order=1)
+        k_sd(line, line, "implicit", dyadic_order=1)
+        assert calls == {"solve_explicit": 1, "solve_implicit": 1}
+
+    def test_gram(self, calls):
+        sample = PathSample(tuple(Path([0.0, 1.0], [[0.0], [v]]) for v in (0.2, 0.3, 0.4)))
+        gram(sample, None, "sd_explicit", KernelSpec(mesh=0.2))
+        assert calls == {"solve_explicit": 6}
+
+    def test_kernel_command(self, tmp_path, calls, capsys):
+        a = write_line_csv(tmp_path, "l.csv", [0.5])
+        assert main(["kernel", a, a, "--scheme", "implicit", "--lambda", "2"]) == 0
+        assert calls == {"solve_implicit": 1}
+
+    def test_converge_command(self, tmp_path, calls):
+        a = write_line_csv(tmp_path, "l.csv", [0.5])
+        out = str(tmp_path / "t.csv")
+        for scheme in ("explicit", "sd_implicit"):
+            argv = ["converge", a, "--scheme", scheme, "--lambda", "0..2", "--matrix-dim", "", "--out", out]
+            assert main(argv) == 0
+        assert calls == {"solve_explicit": 3, "solve_implicit": 3}
 
 
 class TestGenFbm:

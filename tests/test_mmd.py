@@ -21,7 +21,7 @@ from sigdev import (
     write_paths_jsonl,
 )
 from sigdev.cli import main
-from conftest import make_piecewise_linear
+from helpers import make_piecewise_linear
 
 
 def fbm_sample(seeds, dim=2, scale=0.06, n=6):
@@ -72,9 +72,14 @@ class TestGram:
 
     def test_kernel_tag(self):
         sample = fbm_sample((1,))
-        assert gram(sample, None, "sd_series", KernelSpec(tol=1e-6)).kernel_tag == (
-            "sd_series(tol=1e-06)"
-        )
+        cases = [
+            ("sd_explicit", KernelSpec(), "sd_explicit(mesh=0.05)"),
+            ("sd_implicit", KernelSpec(mesh=0.02), "sd_implicit(mesh=0.02)"),
+            ("sd_series", KernelSpec(tol=1e-6), "sd_series(tol=1e-06)"),
+            ("sig_truncated", KernelSpec(), "sig_truncated(level=8)"),
+        ]
+        for kernel, spec, tag in cases:
+            assert gram(sample, None, kernel, spec).kernel_tag == tag
 
     def test_matches_direct_kernel_calls(self):
         a = fbm_sample((4, 5))

@@ -22,7 +22,7 @@ from sigdev import (
     write_path_csv,
     write_paths_jsonl,
 )
-from conftest import make_piecewise_linear
+from helpers import make_piecewise_linear
 
 
 def line(v, t0=0.0, t1=1.0):

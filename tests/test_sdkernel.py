@@ -31,7 +31,7 @@ from sigdev import (
 )
 from sigdev import backend
 from sigdev.sdkernel import SolutionGrid
-from conftest import make_piecewise_linear
+from helpers import make_piecewise_linear
 
 J1_AT_TWO = 0.5767248077568734  # J1(2), power series; scipy cross-check below
 

@@ -23,7 +23,7 @@ from sigdev import (
     truncated_signature,
 )
 from sigdev.signature import _reverse_words
-from conftest import make_piecewise_linear
+from helpers import make_piecewise_linear
 
 
 def line(v):
