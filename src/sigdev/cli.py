@@ -2,9 +2,11 @@
 
 Subcommands: ``kernel`` (kernel of two paths), ``converge`` (scheme and
 Monte-Carlo convergence table), ``gram``, ``mmd``, ``genfbm``, ``selftest``.
-Every flag can also be supplied through an environment variable named
-``SIGDEV_<FLAG>`` (e.g. ``SIGDEV_SEED``); explicit flags win.  All commands
-are deterministic given identical flags and seeds.
+Every flag that takes a value falls back to an environment variable
+``SIGDEV_<FLAG>`` (``--matrix-dim`` to ``SIGDEV_MATRIX_DIM``); a command
+reads only its own flags' variables, an empty one counts as unset, and
+explicit flags win.  All commands are deterministic given identical flags
+and seeds.
 
 Exit codes: 0 success, 2 bad input, 3 numeric or resource error (selftest
 exits 1 when an invariant fails).
@@ -41,23 +43,6 @@ from .signature import level_for_remainder, signature_kernel_truncated
 _GRID_KERNELS = [name for name, field in KERNELS.items() if field == "mesh"]
 _KERNEL_HELP = " | ".join(KERNELS) + " (or an sd_ name without its prefix)"
 _CONVERGE_COLUMNS = "kind,param,value,reference,error,stderr"
-
-
-def _env(key: str) -> str | None:
-    raw = os.environ.get("SIGDEV_" + key)
-    if raw is None or raw == "":
-        return None
-    return raw
-
-
-def _env_or(key: str, fallback, cast):
-    raw = _env(key)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise DomainError(f"bad value for SIGDEV_{key}: {raw!r}") from exc
 
 
 def _fmt(x: float) -> str:
@@ -247,14 +232,31 @@ def cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+class _EnvParser(argparse.ArgumentParser):
+    """Subcommand parser whose flags that take a value fall back to
+    environment variables: ``--foo-bar`` to ``SIGDEV_FOO_BAR``.  Only the
+    running subcommand reads its variables.  A set, non-empty variable is
+    parsed as the flag's value would be (its ``type`` and ``choices``
+    apply) before the command line is, so an explicit flag wins."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace = namespace or argparse.Namespace()
+        for action in self._actions:
+            if not action.option_strings or action.nargs == 0:
+                continue
+            key = "SIGDEV_" + action.option_strings[-1].removeprefix("--").upper().replace("-", "_")
+            raw = os.environ.get(key)
+            if raw:
+                try:
+                    setattr(namespace, action.dest, self._get_values(action, [raw]))
+                except argparse.ArgumentError as exc:
+                    self.error(f"{key}: {exc.message}")
+        return super().parse_known_args(args, namespace)
+
+
 def _add_output_flags(sub) -> None:
-    sub.add_argument("--out", default=_env("OUT"), help="output file (default: stdout)")
-    sub.add_argument(
-        "--format",
-        choices=("csv", "json"),
-        default=_env_or("FORMAT", "csv", str),
-        help="output format",
-    )
+    sub.add_argument("--out", help="output file (default: stdout)")
+    sub.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sigdev",
         description="Schwinger-Dyson and signature kernels of piecewise-linear paths",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_EnvParser)
 
     p = sub.add_parser(
         "kernel",
@@ -273,20 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("gamma", help="first path (CSV: t,x1,...,xd)")
     p.add_argument("sigma", help="second path (CSV)")
+    p.add_argument("--scheme", default="sd_series", help=_KERNEL_HELP)
     p.add_argument(
-        "--scheme",
-        default=_env_or("SCHEME", "sd_series", str),
-        help=_KERNEL_HELP,
+        "--lambda", dest="dyadic", type=int, default=6, help="dyadic refinement order for the grid schemes"
     )
-    p.add_argument(
-        "--lambda",
-        dest="dyadic",
-        type=int,
-        default=_env_or("LAMBDA", 6, int),
-        help="dyadic refinement order for the grid schemes",
-    )
-    p.add_argument("--tol", type=float, default=_env_or("TOL", None, float))
-    p.add_argument("--level", type=int, default=_env_or("LEVEL", None, int))
+    p.add_argument("--tol", type=float)
+    p.add_argument("--level", type=int)
     _add_output_flags(p)
     p.set_defaults(func=cmd_kernel)
 
@@ -300,29 +294,22 @@ def build_parser() -> argparse.ArgumentParser:
         "otherwise.  CSV columns: " + _CONVERGE_COLUMNS + ".",
     )
     p.add_argument("path", nargs="?", help="path CSV (omit to generate fBm)")
-    p.add_argument("--fbm-hurst", type=float, default=_env_or("FBM_HURST", 0.75, float))
-    p.add_argument("--fbm-points", type=int, default=_env_or("FBM_POINTS", 15, int))
-    p.add_argument("--fbm-dim", type=int, default=_env_or("FBM_DIM", 1, int))
-    p.add_argument("--fbm-scale", type=float, default=_env_or("FBM_SCALE", 1.0, float))
+    p.add_argument("--fbm-hurst", type=float, default=0.75)
+    p.add_argument("--fbm-points", type=int, default=15)
+    p.add_argument("--fbm-dim", type=int, default=1)
+    p.add_argument("--fbm-scale", type=float, default=1.0)
     p.add_argument(
         "--scheme",
-        default=_env_or("SCHEME", "implicit", str),
+        default="implicit",
         help="grid scheme: " + " | ".join(_GRID_KERNELS) + " (or without sd_)",
     )
+    p.add_argument("--lambda", dest="dyadic", default="0..6", help="dyadic orders, e.g. '0..6' or '0,2,4'")
     p.add_argument(
-        "--lambda",
-        dest="dyadic",
-        default=_env_or("LAMBDA", "0..6", str),
-        help="dyadic orders, e.g. '0..6' or '0,2,4'",
+        "--matrix-dim", default="10,50,200", help="matrix dimensions for the Monte-Carlo rows ('' disables)"
     )
-    p.add_argument(
-        "--matrix-dim",
-        default=_env_or("MATRIX_DIM", "10,50,200", str),
-        help="matrix dimensions for the Monte-Carlo rows ('' disables)",
-    )
-    p.add_argument("--mc-samples", type=int, default=_env_or("MC_SAMPLES", 50, int))
-    p.add_argument("--seed", type=int, default=_env_or("SEED", 0, int))
-    p.add_argument("--tol", type=float, default=_env_or("TOL", None, float))
+    p.add_argument("--mc-samples", type=int, default=50)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tol", type=float)
     _add_output_flags(p)
     p.set_defaults(func=cmd_converge)
 
@@ -340,29 +327,24 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--unbiased", action="store_true", help="U-statistic estimator")
         else:
             p.add_argument("sample_b", nargs="?", help="second sample (JSONL; default: first)")
-        p.add_argument(
-            "--kernel",
-            default=_env_or("KERNEL", "sd_series", str),
-            help=_KERNEL_HELP,
-        )
+        p.add_argument("--kernel", default="sd_series", help=_KERNEL_HELP)
         p.add_argument(
             "--mesh",
             type=float,
-            default=_env_or("MESH", None, float),
             help=f"target per-interval 1-variation for the grid schemes (default {KernelSpec.mesh:g})",
         )
-        p.add_argument("--tol", type=float, default=_env_or("TOL", None, float))
-        p.add_argument("--level", type=int, default=_env_or("LEVEL", None, int))
+        p.add_argument("--tol", type=float)
+        p.add_argument("--level", type=int)
         _add_output_flags(p)
         p.set_defaults(func=cmd_gram if name == "gram" else cmd_mmd)
 
     p = sub.add_parser("genfbm", help="write a fractional Brownian motion path as CSV")
-    p.add_argument("--hurst", type=float, default=_env_or("HURST", 0.75, float))
-    p.add_argument("--points", type=int, default=_env_or("POINTS", 16, int))
-    p.add_argument("--dim", type=int, default=_env_or("DIM", 1, int))
-    p.add_argument("--seed", type=int, default=_env_or("SEED", 0, int))
-    p.add_argument("--scale", type=float, default=_env_or("SCALE", 1.0, float))
-    p.add_argument("--out", default=_env("OUT"), help="output file (default: stdout)")
+    p.add_argument("--hurst", type=float, default=0.75)
+    p.add_argument("--points", type=int, default=16)
+    p.add_argument("--dim", type=int, default=1)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--out", help="output file (default: stdout)")
     p.set_defaults(func=cmd_genfbm)
 
     p = sub.add_parser("selftest", help="run the cross-module invariant suite")
@@ -377,9 +359,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     try:
         return int(args.func(args) or 0)
     except (DomainError, OSError) as exc:

@@ -223,12 +223,7 @@ def _series_level(variation: float, tol: float) -> int:
     )
 
 
-def series_oracle(
-    path: Path,
-    s: float | None = None,
-    t: float | None = None,
-    tol: float = 1e-8,
-) -> SeriesKernel:
+def series_oracle(path: Path, tol: float = 1e-8) -> SeriesKernel:
     """Kernel via its moment expansion sum_I i^|I| phi(I) S^I(path).
 
     Odd levels vanish; even level m carries sign (-1)^(m/2).  The truncation
@@ -238,13 +233,9 @@ def series_oracle(
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
-    if s is None:
-        s = path.start_time
-    if t is None:
-        t = path.end_time
-    variation = one_variation(path, (s, t))
+    variation = one_variation(path)
     level = _series_level(variation, tol)
-    sig = truncated_signature(path, (s, t), level)
+    sig = truncated_signature(path, level=level)
     value = 1.0
     for m in range(2, level + 1, 2):
         sign = -1.0 if (m // 2) % 2 else 1.0
@@ -358,7 +349,6 @@ def k_sd(
     gamma: Path,
     sigma: Path,
     scheme: str = "series",
-    partition: Partition | None = None,
     *,
     dyadic_order: int = 0,
     mesh: float | None = None,
@@ -367,9 +357,9 @@ def k_sd(
     """Schwinger-Dyson kernel of two paths: the kernel of gamma followed by
     reversed sigma, evaluated at the full interval.
 
-    Grid schemes discretize the concatenation on ``partition`` if given,
-    else on its own knots refined per ``mesh`` (target per-interval
-    1-variation) or ``dyadic_order``.  The series scheme uses ``tol``.
+    Grid schemes discretize the concatenation on its own knots refined per
+    ``mesh`` (target per-interval 1-variation) or ``dyadic_order``.  The
+    series scheme uses ``tol``.
     """
     if gamma.dim != sigma.dim:
         raise DomainError("paths must share dimension")
@@ -378,11 +368,10 @@ def k_sd(
     if scheme not in ("explicit", "implicit"):
         raise DomainError(f"unknown scheme {scheme!r}; choose from explicit, implicit, series")
     y = concat_reverse(gamma, sigma)
-    if partition is None:
-        if mesh is not None:
-            partition = refine_to_variation(y, mesh)
-        else:
-            partition = dyadic_refine(Partition(y.times), dyadic_order)
+    if mesh is not None:
+        partition = refine_to_variation(y, mesh)
+    else:
+        partition = dyadic_refine(Partition(y.times), dyadic_order)
     incs = piecewise_constant_increments(y, partition)
     if scheme == "explicit":
         return solve_explicit(incs, partition).final

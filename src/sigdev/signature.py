@@ -20,6 +20,8 @@ from .paths import IncrementSequence, Path, _clip_points, one_variation
 MAX_TENSOR_ENTRIES = 10_000_000
 # coefficients of the signatures one Gram matrix keeps in memory at once
 MAX_FEATURE_ENTRIES = 4 * MAX_TENSOR_ENTRIES
+# highest truncation level ``level_for_remainder`` tries
+MAX_REMAINDER_LEVEL = 24
 
 
 def _check_storage(dim: int, level: int) -> None:
@@ -258,40 +260,26 @@ def _kernel_tail(var_product: float, level: int) -> float:
     return total
 
 
-def signature_kernel_truncated(
-    gamma: Path,
-    sigma: Path,
-    s: float | None = None,
-    t: float | None = None,
-    level: int = 8,
-) -> SigKernelValue:
-    """Truncated signature kernel sum_{m<=L} <S^m(gamma), S^m(sigma)>_HS.
-
-    The signatures run from each path's start time up to ``s`` and ``t``
-    respectively (path end by default).  The reported remainder bound
+def signature_kernel_truncated(gamma: Path, sigma: Path, level: int = 8) -> SigKernelValue:
+    """Truncated signature kernel sum_{m<=L} <S^m(gamma), S^m(sigma)>_HS of
+    the whole paths.  The reported remainder bound
     sum_{m>L} (|gamma|_1 |sigma|_1)^m / (m!)^2 certifies the discarded tail.
     """
     if gamma.dim != sigma.dim:
         raise DomainError("paths must share dimension")
-    s = gamma.end_time if s is None else float(s)
-    t = sigma.end_time if t is None else float(t)
-    sig_a = truncated_signature(gamma, (gamma.start_time, s), level)
-    sig_b = truncated_signature(sigma, (sigma.start_time, t), level)
+    sig_a = truncated_signature(gamma, level=level)
+    sig_b = truncated_signature(sigma, level=level)
     value = _signature_pair(sig_a.tensors, sig_b.tensors)
-    var_product = one_variation(gamma, (gamma.start_time, s)) * one_variation(
-        sigma, (sigma.start_time, t)
-    )
+    var_product = one_variation(gamma) * one_variation(sigma)
     return SigKernelValue(value, _kernel_tail(var_product, level), level)
 
 
-def level_for_remainder(
-    var_product: float, dim: int, tol: float, max_level: int = 24
-) -> int:
+def level_for_remainder(var_product: float, dim: int, tol: float) -> int:
     """Smallest truncation level whose kernel remainder bound is below tol."""
     if tol <= 0:
         raise DomainError("tol must be positive")
     best = math.inf
-    for level in range(max_level + 1):
+    for level in range(MAX_REMAINDER_LEVEL + 1):
         try:
             _check_storage(dim, level)
         except ResourceLimitError:

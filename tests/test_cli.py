@@ -1,5 +1,8 @@
+import argparse
 import csv
 import json
+import os
+import pathlib
 import subprocess
 import sys
 from collections import Counter
@@ -19,7 +22,7 @@ from sigdev import (
     write_paths_jsonl,
 )
 from sigdev import sdkernel
-from sigdev.cli import main
+from sigdev.cli import build_parser, main
 from sigdev.mmd import KERNELS
 from sigdev.sdkernel import exact_straight_line
 
@@ -325,7 +328,125 @@ class TestGenFbm:
         assert outs[0] != outs[1]
 
 
+# Every flag that takes a value, by command: its documented variable, a
+# value unlike the default, and the rest of the command line.  "{a}", "{b}"
+# (CSV paths), "{s}", "{b_s}" (JSONL samples) and "{out}" (an output file)
+# are filled in per test.
+_KERNEL_ARGS = ["{a}", "{b}"]
+_CONVERGE_ARGS = ["--fbm-points", "4", "--fbm-dim", "2", "--fbm-scale", "0.25", "--lambda", "0",
+                  "--matrix-dim", "4", "--mc-samples", "3"]
+ENV_FLAGS = [
+    ("kernel", "--scheme", "SIGDEV_SCHEME", "sig_truncated", _KERNEL_ARGS),
+    ("kernel", "--lambda", "SIGDEV_LAMBDA", "2", _KERNEL_ARGS + ["--scheme", "explicit"]),
+    ("kernel", "--tol", "SIGDEV_TOL", "1e-3", _KERNEL_ARGS),
+    ("kernel", "--level", "SIGDEV_LEVEL", "6", _KERNEL_ARGS + ["--scheme", "sig_truncated"]),
+    ("kernel", "--format", "SIGDEV_FORMAT", "json", _KERNEL_ARGS),
+    ("kernel", "--out", "SIGDEV_OUT", "{out}", _KERNEL_ARGS),
+    ("converge", "--fbm-hurst", "SIGDEV_FBM_HURST", "0.6", _CONVERGE_ARGS),
+    ("converge", "--fbm-points", "SIGDEV_FBM_POINTS", "5", _CONVERGE_ARGS),
+    ("converge", "--fbm-dim", "SIGDEV_FBM_DIM", "3", _CONVERGE_ARGS),
+    ("converge", "--fbm-scale", "SIGDEV_FBM_SCALE", "0.2", _CONVERGE_ARGS),
+    ("converge", "--scheme", "SIGDEV_SCHEME", "explicit", _CONVERGE_ARGS),
+    ("converge", "--lambda", "SIGDEV_LAMBDA", "0..1", _CONVERGE_ARGS),
+    ("converge", "--matrix-dim", "SIGDEV_MATRIX_DIM", "5", _CONVERGE_ARGS),
+    ("converge", "--mc-samples", "SIGDEV_MC_SAMPLES", "4", _CONVERGE_ARGS),
+    ("converge", "--seed", "SIGDEV_SEED", "1", _CONVERGE_ARGS),
+    ("converge", "--tol", "SIGDEV_TOL", "1e-2", _CONVERGE_ARGS),
+    ("converge", "--format", "SIGDEV_FORMAT", "json", _CONVERGE_ARGS),
+    ("converge", "--out", "SIGDEV_OUT", "{out}", _CONVERGE_ARGS),
+    ("genfbm", "--hurst", "SIGDEV_HURST", "0.6", ["--points", "4"]),
+    ("genfbm", "--points", "SIGDEV_POINTS", "5", ["--points", "4"]),
+    ("genfbm", "--dim", "SIGDEV_DIM", "2", ["--points", "4"]),
+    ("genfbm", "--seed", "SIGDEV_SEED", "1", ["--points", "4"]),
+    ("genfbm", "--scale", "SIGDEV_SCALE", "0.5", ["--points", "4"]),
+    ("genfbm", "--out", "SIGDEV_OUT", "{out}", ["--points", "4"]),
+] + [
+    row
+    for command, samples in (("gram", ["{s}"]), ("mmd", ["{s}", "{b_s}"]))
+    for row in (
+        (command, "--kernel", "SIGDEV_KERNEL", "sig_truncated", samples),
+        (command, "--mesh", "SIGDEV_MESH", "0.1", samples + ["--kernel", "sd_explicit"]),
+        (command, "--tol", "SIGDEV_TOL", "1e-2", samples),
+        (command, "--level", "SIGDEV_LEVEL", "3", samples + ["--kernel", "sig_truncated"]),
+        (command, "--format", "SIGDEV_FORMAT", "json", samples),
+        (command, "--out", "SIGDEV_OUT", "{out}", samples),
+    )
+]
+
+
+def _value_flags(command):
+    """Option strings of the flags of ``command`` that take a value."""
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    actions = subparsers.choices[command]._actions
+    return {a.option_strings[-1] for a in actions if a.option_strings and a.nargs != 0}
+
+
 class TestEnvOverrides:
+    @pytest.fixture(autouse=True)
+    def clean_env(self, monkeypatch):
+        for key in [k for k in os.environ if k.startswith("SIGDEV_")]:
+            monkeypatch.delenv(key)
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        paths = [Path(p.times, p.points * 0.1) for p in (gen_fbm(0.75, 4, 2, s) for s in (1, 2))]
+        names = {key: str(tmp_path / name) for key, name in
+                 (("a", "a.csv"), ("b", "b.csv"), ("s", "s.jsonl"), ("b_s", "b.jsonl"), ("out", "out.txt"))}
+        write_path_csv(paths[0], names["a"])
+        write_path_csv(paths[1], names["b"])
+        write_paths_jsonl(["p0", "p1"], paths, names["s"])
+        write_paths_jsonl(["q0"], [paths[0]], names["b_s"])
+        return names
+
+    def _run(self, argv, files, capsys):
+        code = main([arg.format(**files) for arg in argv])
+        assert code == 0, capsys.readouterr().err
+        out_file = pathlib.Path(files["out"])
+        written = out_file.read_text() if out_file.exists() else None
+        out_file.unlink(missing_ok=True)
+        return capsys.readouterr().out, written
+
+    def test_table_covers_every_value_flag(self):
+        for command in ("kernel", "converge", "gram", "mmd", "genfbm", "selftest"):
+            assert _value_flags(command) == {flag for c, flag, *_ in ENV_FLAGS if c == command}
+
+    @pytest.mark.parametrize(
+        "command,flag,key,value,rest", ENV_FLAGS, ids=[f"{row[0]}{row[1]}" for row in ENV_FLAGS]
+    )
+    def test_variable_acts_as_its_flag(self, files, capsys, monkeypatch, command, flag, key, value, rest):
+        if flag in rest:  # the shared command line may set the flag under test
+            at = rest.index(flag)
+            rest = rest[:at] + rest[at + 2:]
+        default = self._run([command, *rest], files, capsys)
+        given = self._run([command, *rest, flag, value], files, capsys)
+        monkeypatch.setenv(key, value.format(**files))
+        assert self._run([command, *rest], files, capsys) == given != default
+
+    def test_converge_reads_its_own_lambda_syntax(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SIGDEV_LAMBDA", "0..2")
+        a = write_line_csv(tmp_path, "l.csv", [1.0])
+        out = tmp_path / "t.csv"
+        assert main(["converge", a, "--matrix-dim", "", "--out", str(out)]) == 0
+        assert [(r["kind"], r["param"]) for r in read_rows(out)] == [("scheme", str(lam)) for lam in range(3)]
+
+    def test_other_commands_ignore_a_variable_they_lack(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SIGDEV_LAMBDA", "0..2")
+        assert main(["genfbm", "--points", "4", "--out", str(tmp_path / "f.csv")]) == 0
+
+    @pytest.mark.parametrize("command", ["kernel", "converge", "gram", "mmd"])
+    def test_bad_choice_names_the_variable(self, files, capsys, monkeypatch, command):
+        monkeypatch.setenv("SIGDEV_FORMAT", "xml")
+        rest = {"kernel": _KERNEL_ARGS, "converge": _CONVERGE_ARGS, "gram": ["{s}"], "mmd": ["{s}", "{s}"]}
+        assert main([command, *(arg.format(**files) for arg in rest[command])]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "SIGDEV_FORMAT" in captured.err
+
+    def test_empty_variable_is_unset(self, files, capsys, monkeypatch):
+        default = self._run(["kernel", *_KERNEL_ARGS], files, capsys)
+        for key in ("SIGDEV_FORMAT", "SIGDEV_SCHEME", "SIGDEV_TOL", "SIGDEV_OUT"):
+            monkeypatch.setenv(key, "")
+        assert self._run(["kernel", *_KERNEL_ARGS], files, capsys) == default
+
     def test_env_seed_applies(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SIGDEV_SEED", "5")
         out1 = tmp_path / "a.csv"
@@ -347,6 +468,10 @@ class TestEnvOverrides:
     def test_bad_env_value_rejected(self, monkeypatch, capsys):
         monkeypatch.setenv("SIGDEV_SEED", "not-a-number")
         assert main(["genfbm", "--points", "6"]) == 2
+
+
+def test_selftest_command_passes(capsys):
+    assert main(["selftest"]) == 0
 
 
 def test_import_leaves_scipy_linalg_unloaded():
