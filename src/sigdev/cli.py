@@ -143,11 +143,11 @@ def cmd_converge(args) -> int:
     base = Partition(path.times)
     for lam in _parse_int_list(args.dyadic):
         part = dyadic_refine(base, lam)
-        value = solver(piecewise_constant_increments(path, part), part).final
+        value = solver(piecewise_constant_increments(path, part)).final
         rows.append(["scheme", str(lam), value, reference, abs(value - reference), None])
     for n_dim in _parse_int_list(args.matrix_dim):
         cfg = EnsembleConfig(GUE, n_dim, args.mc_samples, args.seed, path.dim)
-        est = rk_montecarlo(path, None, cfg)
+        est = rk_montecarlo(path, cfg)
         rows.append(
             ["montecarlo", str(n_dim), est.estimate, reference, abs(est.estimate - reference), est.stderr]
         )

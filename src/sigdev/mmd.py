@@ -133,18 +133,20 @@ def mmd2(
     """Squared MMD between the empirical measures of two samples.
 
     V-statistic by default; ``unbiased=True`` switches the within-sample
-    terms to U-statistics (needs at least two paths per sample).
+    terms to U-statistics (needs at least two paths per sample).  One Gram
+    of the pooled sample ``a + b`` holds every pair, so each path is signed
+    once and the signature routes' coefficient budget covers both samples
+    together.  Each estimator sum runs over a contiguous copy of its block,
+    which sums in the same order as a standalone Gram of that block.
     """
-    k_aa = gram(sample_a, None, kernel, spec).values
-    k_bb = gram(sample_b, None, kernel, spec).values
-    if sample_b is sample_a:
-        k_ab = k_aa
-    else:
-        k_ab = gram(sample_a, sample_b, kernel, spec).values
     n, m = len(sample_a), len(sample_b)
+    if unbiased and (n < 2 or m < 2):
+        raise DomainError("the unbiased estimator needs two paths per sample")
+    pooled = gram(PathSample(sample_a.paths + sample_b.paths), None, kernel, spec).values
+    k_aa, k_bb, k_ab = (
+        np.ascontiguousarray(block) for block in (pooled[:n, :n], pooled[n:, n:], pooled[:n, n:])
+    )
     if unbiased:
-        if n < 2 or m < 2:
-            raise DomainError("the unbiased estimator needs two paths per sample")
         within_a = (k_aa.sum() - np.trace(k_aa)) / (n * (n - 1))
         within_b = (k_bb.sum() - np.trace(k_bb)) / (m * (m - 1))
     else:

@@ -101,13 +101,6 @@ class Partition:
     def __len__(self) -> int:
         return len(self.knots)
 
-    @property
-    def mesh(self) -> float:
-        """Largest knot spacing (0 for a single knot)."""
-        if len(self.knots) < 2:
-            return 0.0
-        return float(np.max(np.diff(self.knots)))
-
 
 @dataclass(frozen=True)
 class IncrementSequence:
@@ -171,29 +164,18 @@ def concat_reverse(gamma: Path, sigma: Path) -> Path:
     """Concatenate gamma with the reversal of sigma.
 
     The reversed path is translated so it starts at gamma's endpoint and its
-    time stamps are rescaled to follow gamma contiguously.  When sigma
-    already ends where gamma ends, the shared junction point is stored once.
+    time stamps are rescaled to follow gamma contiguously.  That junction
+    point is stored once, so the result has no zero-length segment there.
     Any time reparameterization of the result gives the same signature and
     kernels, so the exact stamps carry no meaning.
     """
     if gamma.dim != sigma.dim:
         raise DomainError("paths must share dimension")
     rev_points = sigma.points[::-1]
-    translated = (rev_points - rev_points[0]) + gamma.points[-1]
-    rev_offsets = (sigma.times[-1] - sigma.times[::-1])  # 0 = start, ascending
-    merge = bool(np.array_equal(sigma.points[-1], gamma.points[-1]))
-    t_end = gamma.times[-1]
-    if merge:
-        times = np.concatenate([gamma.times, t_end + rev_offsets[1:]])
-        points = np.vstack([gamma.points, translated[1:]])
-    else:
-        if len(sigma.times) > 1:
-            pad = (sigma.times[-1] - sigma.times[0]) / (len(sigma.times) - 1)
-        else:
-            pad = 1.0
-        times = np.concatenate([gamma.times, t_end + pad + rev_offsets])
-        points = np.vstack([gamma.points, translated])
-    return Path(times, points)
+    translated = (rev_points[1:] - rev_points[0]) + gamma.points[-1]
+    rev_offsets = sigma.times[-1] - sigma.times[-2::-1]  # ascending, > 0
+    times = np.concatenate([gamma.times, gamma.times[-1] + rev_offsets])
+    return Path(times, np.vstack([gamma.points, translated]))
 
 
 def piecewise_constant_increments(path: Path, partition: Partition) -> IncrementSequence:

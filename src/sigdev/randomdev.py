@@ -215,9 +215,7 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     return mean, float(np.std(values, ddof=1) / np.sqrt(len(values)))
 
 
-def rk_montecarlo(
-    path: Path, partition: Partition | None, cfg: EnsembleConfig
-) -> RkEstimate:
+def rk_montecarlo(path: Path, cfg: EnsembleConfig) -> RkEstimate:
     """Monte-Carlo estimate of the Schwinger-Dyson kernel of one path:
     mean over samples of (1/N) tr of the unitary development.
 
@@ -229,9 +227,7 @@ def rk_montecarlo(
         raise DomainError("rk_montecarlo requires the GUE ensemble")
     if cfg.path_dim != path.dim:
         raise DomainError("cfg.path_dim does not match the path")
-    if partition is None:
-        partition = Partition(path.times)
-    incs = piecewise_constant_increments(path, partition)
+    incs = piecewise_constant_increments(path, Partition(path.times))
     traces = np.empty(cfg.samples_m, dtype=np.complex128)
     for s in range(cfg.samples_m):
         mats = sample_matrices(cfg, s)

@@ -52,20 +52,18 @@ _EINSUM_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 @dataclass(frozen=True)
 class SolutionGrid:
-    """Kernel values K(t_i, t_j) for i <= j over a partition.
+    """Kernel values K(t_i, t_j) for i <= j over the n+1 knots of a grid.
 
     ``values`` is (n+1, n+1) with zeros below the diagonal; the diagonal is
     exactly 1 (boundary condition of the functional equation).
     """
 
-    knots: Partition
     values: np.ndarray
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
-        size = len(self.knots)
-        if values.shape != (size, size):
-            raise DomainError("grid shape must match the partition")
+        if values.ndim != 2 or values.shape[0] != values.shape[1] or values.shape[0] < 1:
+            raise DomainError("grid values must be a nonempty square array")
         if not np.all(np.isfinite(values)):
             raise DomainError("grid values must be finite")
         if not np.all(values.diagonal() == 1.0):
@@ -75,7 +73,7 @@ class SolutionGrid:
         object.__setattr__(self, "values", values)
 
     def value(self, i: int, j: int) -> float:
-        if not 0 <= i <= j < len(self.knots):
+        if not 0 <= i <= j < self.values.shape[0]:
             raise DomainError("grid indices must satisfy 0 <= i <= j <= n")
         return float(self.values[i, j])
 
@@ -85,10 +83,6 @@ class SolutionGrid:
         return float(self.values[0, -1])
 
 
-def _index_partition(n: int) -> Partition:
-    return Partition(np.arange(n + 1, dtype=np.float64))
-
-
 def _gram(incs: IncrementSequence) -> np.ndarray:
     deltas = incs.deltas
     if len(deltas) == 0:
@@ -96,7 +90,7 @@ def _gram(incs: IncrementSequence) -> np.ndarray:
     return deltas @ deltas.T
 
 
-def solve_explicit(incs: IncrementSequence, knots: Partition | None = None) -> SolutionGrid:
+def solve_explicit(incs: IncrementSequence) -> SolutionGrid:
     """Left-point grid scheme.
 
     Column by column,
@@ -106,16 +100,12 @@ def solve_explicit(incs: IncrementSequence, knots: Partition | None = None) -> S
 
     the one-step form of the double-sum expansion whose inner window opens
     just past the first jump of each pair.  Values depend only on the
-    increments, never on the knot times.
+    increments, never on the knot times, so the solvers take none.
     """
-    if knots is None:
-        knots = _index_partition(len(incs))
-    elif len(knots) != len(incs) + 1:
-        raise DomainError("partition must have one more knot than increments")
-    return SolutionGrid(knots, backend.explicit_grid(_gram(incs)))
+    return SolutionGrid(backend.explicit_grid(_gram(incs)))
 
 
-def solve_implicit(incs: IncrementSequence, knots: Partition | None = None) -> SolutionGrid:
+def solve_implicit(incs: IncrementSequence) -> SolutionGrid:
     """Right-point grid scheme.
 
     Each cell solves its own linearised equation,
@@ -127,11 +117,7 @@ def solve_implicit(incs: IncrementSequence, knots: Partition | None = None) -> S
     obtained by moving the diagonal term of the right-point double sum to
     the left-hand side.
     """
-    if knots is None:
-        knots = _index_partition(len(incs))
-    elif len(knots) != len(incs) + 1:
-        raise DomainError("partition must have one more knot than increments")
-    return SolutionGrid(knots, backend.implicit_grid(_gram(incs)))
+    return SolutionGrid(backend.implicit_grid(_gram(incs)))
 
 
 def semicircle_charfn(x: float) -> float:
@@ -374,5 +360,5 @@ def k_sd(
         partition = dyadic_refine(Partition(y.times), dyadic_order)
     incs = piecewise_constant_increments(y, partition)
     if scheme == "explicit":
-        return solve_explicit(incs, partition).final
-    return solve_implicit(incs, partition).final
+        return solve_explicit(incs).final
+    return solve_implicit(incs).final

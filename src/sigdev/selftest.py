@@ -190,8 +190,8 @@ def check_unitarity():
 def check_montecarlo_determinism():
     p = Path([0.0, 1.0], [[0.0], [1.0]])
     cfg = EnsembleConfig(GUE, dim_n=16, samples_m=8, seed=42, path_dim=1)
-    a = rk_montecarlo(p, None, cfg)
-    b = rk_montecarlo(p, None, cfg)
+    a = rk_montecarlo(p, cfg)
+    b = rk_montecarlo(p, cfg)
     assert a == b, "seeded estimate must be bit-identical"
 
 

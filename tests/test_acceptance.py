@@ -216,7 +216,7 @@ def test_criterion_5_unitary_montecarlo():
         traces[s] = np.trace(z) / cfg.dim_n
     estimate = float(np.mean(traces.real))
     stderr = float(np.std(traces.real, ddof=1) / np.sqrt(cfg.samples_m))
-    packaged = rk_montecarlo(unit_line(), None, cfg)
+    packaged = rk_montecarlo(unit_line(), cfg)
     elapsed = time.monotonic() - t0
     error = abs(estimate - J1_AT_TWO)
     tolerance = max(3.0 * stderr, 0.02)

@@ -20,7 +20,9 @@ from sigdev import (
     signature_kernel_truncated,
     write_paths_jsonl,
 )
+from sigdev import sdkernel
 from sigdev.cli import main
+from sigdev.signature import MAX_FEATURE_ENTRIES, _check_feature_budget
 from helpers import make_piecewise_linear
 
 
@@ -202,6 +204,17 @@ class TestBatchedGrams:
         assert main(["gram", str(sample), "--kernel", "sig_truncated", "--level", "14"]) == 3
         assert "budget" in capsys.readouterr().err
 
+    def test_cli_mmd_exits_3_when_samples_together_pass_budget(self, tmp_path, capsys):
+        # three d=3 paths at level 14 fit the budget; six do not
+        paths = paths_of_variation((0.85,) * 6, seed=120, dim=3)
+        _check_feature_budget(3, [14] * 3)
+        assert 6 * sum(3**m for m in range(15)) > MAX_FEATURE_ENTRIES
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        write_paths_jsonl(["p0", "p1", "p2"], paths[:3], a)
+        write_paths_jsonl(["q0", "q1", "q2"], paths[3:], b)
+        assert main(["mmd", str(a), str(b), "--kernel", "sig_truncated", "--level", "14"]) == 3
+        assert "budget" in capsys.readouterr().err
+
     def test_dimension_mismatch(self):
         a = paths_of_variation((0.3,), dim=1)
         b = paths_of_variation((0.3,), dim=2)
@@ -270,6 +283,60 @@ class TestMmd2:
     def test_unbiased_needs_two_paths(self):
         with pytest.raises(DomainError):
             mmd2(fbm_sample((1,)), fbm_sample((2, 3)), unbiased=True)
+
+    @staticmethod
+    def three_gram_mmd2(a, b, kernel, spec, unbiased):
+        """The estimator from separate aa, bb and ab Grams."""
+        k_aa = gram(a, None, kernel, spec).values
+        k_bb = gram(b, None, kernel, spec).values
+        k_ab = gram(a, b, kernel, spec).values
+        n, m = len(a), len(b)
+        if unbiased:
+            within_a = (k_aa.sum() - np.trace(k_aa)) / (n * (n - 1))
+            within_b = (k_bb.sum() - np.trace(k_bb)) / (m * (m - 1))
+        else:
+            within_a = k_aa.sum() / (n * n)
+            within_b = k_bb.sum() / (m * m)
+        return float(within_a + within_b - 2.0 * (k_ab.sum() / (n * m)))
+
+    @pytest.mark.parametrize("unbiased", [False, True])
+    @pytest.mark.parametrize(
+        "kernel,spec",
+        [
+            ("sd_explicit", KernelSpec(mesh=0.05)),
+            ("sd_implicit", KernelSpec(mesh=0.05)),
+            ("sd_series", KernelSpec(tol=1e-8)),
+            ("sig_truncated", KernelSpec(level=6)),
+        ],
+    )
+    def test_pooled_gram_equals_three_grams(self, kernel, spec, unbiased):
+        a = PathSample(paths_of_variation((0.2, 0.5, 0.4), seed=200))
+        b = PathSample(paths_of_variation((0.3, 0.6, 0.1, 0.45), seed=210, segments=4))
+        got = mmd2(a, b, kernel, spec, unbiased=unbiased)
+        assert got == self.three_gram_mmd2(a, b, kernel, spec, unbiased)
+
+    @pytest.mark.parametrize("side", [41, 96])
+    def test_pooled_gram_equals_three_grams_on_large_blocks(self, side):
+        # numpy sums a strided view of more than 8192 entries in another
+        # order than a contiguous array, so at 96 paths a side summing the
+        # blocks of the pooled Gram in place would change the last bits
+        a = PathSample(paths_of_variation([0.3 + 0.005 * k for k in range(side)], seed=300, segments=3))
+        b = PathSample(paths_of_variation([0.35 + 0.005 * k for k in range(side)], seed=400, segments=3))
+        spec = KernelSpec(level=4)
+        for unbiased in (False, True):
+            got = mmd2(a, b, "sig_truncated", spec, unbiased=unbiased)
+            assert got == self.three_gram_mmd2(a, b, "sig_truncated", spec, unbiased)
+
+    def test_signs_each_path_once(self, monkeypatch):
+        calls = []
+
+        def counted(path, *args, _sign=sdkernel.truncated_signature, **kwargs):
+            calls.append(path)
+            return _sign(path, *args, **kwargs)
+
+        monkeypatch.setattr(sdkernel, "truncated_signature", counted)
+        mmd2(fbm_sample(range(1, 9)), fbm_sample(range(11, 19)), "sd_series", KernelSpec(tol=1e-6))
+        assert len(calls) == 16
 
     def test_grid_scheme_diagonal_near_one(self):
         p = make_piecewise_linear(6, 5, 2, 0.5)

@@ -92,7 +92,7 @@ class TestConcatReverse:
         gamma = Path([0.0, 0.5, 1.0], [[0.0, 0.0], [1.0, 0.5], [2.0, 0.0]])
         sigma = Path([0.0, 1.0], [[5.0, 5.0], [6.0, 7.0]])
         y = concat_reverse(gamma, sigma)
-        assert len(y.times) == 5
+        assert len(y.times) == 4
         expected = gamma.points[-1] - gamma.points[0] + sigma.points[0] - sigma.points[-1]
         assert np.allclose(y.displacement, expected, atol=1e-14)
 
@@ -107,9 +107,9 @@ class TestConcatReverse:
         gamma = Path([0.0, 1.0], [[0.0], [1.0]])
         sigma = Path([3.0], [[9.0]])
         y = concat_reverse(gamma, sigma)
-        assert len(y.times) == 3
-        # translated to gamma's endpoint: a degenerate constant tail
-        assert y.points[-1, 0] == 1.0
+        # translated to gamma's endpoint, sigma adds nothing
+        assert np.array_equal(y.points, gamma.points)
+        assert np.array_equal(y.times, gamma.times)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
@@ -120,6 +120,14 @@ class TestConcatReverse:
         sigma = make_piecewise_linear(6, 3, 2, 1.0)
         y = concat_reverse(gamma, sigma)
         assert np.all(np.diff(y.times) > 0)
+
+    def test_no_zero_length_segment(self):
+        for seed in range(8):
+            gamma = make_piecewise_linear(seed, 4, 2, 1.0)
+            sigma = make_piecewise_linear(seed + 100, 3, 2, 1.0)
+            y = concat_reverse(gamma, sigma)
+            assert len(y.times) == len(gamma.times) + len(sigma.times) - 1
+            assert np.all(np.linalg.norm(np.diff(y.points, axis=0), axis=1) > 0)
 
 
 class TestIncrements:

@@ -197,7 +197,7 @@ class TestGlDevelopment:
 class TestRkMonteCarlo:
     def test_constant_path(self):
         cfg = gue_cfg(samples_m=5)
-        est = rk_montecarlo(Path([0.0, 1.0], [[0.7], [0.7]]), None, cfg)
+        est = rk_montecarlo(Path([0.0, 1.0], [[0.7], [0.7]]), cfg)
         assert est.estimate == 1.0
         assert est.stderr == 0.0
         assert est.imag_diag == 0.0
@@ -205,13 +205,13 @@ class TestRkMonteCarlo:
     def test_deterministic(self):
         cfg = gue_cfg(dim_n=24, samples_m=6)
         p = line([1.0])
-        assert rk_montecarlo(p, None, cfg) == rk_montecarlo(p, None, cfg)
+        assert rk_montecarlo(p, cfg) == rk_montecarlo(p, cfg)
 
     def test_reparameterization_invariance(self):
         cfg = gue_cfg(dim_n=12, samples_m=4)
         p1 = Path([0.0, 1.0, 2.0], [[0.0], [0.4], [1.0]])
         p2 = Path([0.0, 0.1, 7.0], [[0.0], [0.4], [1.0]])
-        assert rk_montecarlo(p1, None, cfg) == rk_montecarlo(p2, None, cfg)
+        assert rk_montecarlo(p1, cfg) == rk_montecarlo(p2, cfg)
 
     def test_traces_bounded_by_one(self):
         cfg = gue_cfg(dim_n=20, samples_m=4, path_dim=1)
@@ -222,18 +222,18 @@ class TestRkMonteCarlo:
 
     def test_approaches_bessel_value(self):
         cfg = gue_cfg(dim_n=64, samples_m=64, seed=123)
-        est = rk_montecarlo(line([1.0]), None, cfg)
+        est = rk_montecarlo(line([1.0]), cfg)
         assert abs(est.estimate - exact_straight_line(1.0, 0.0, 1.0)) <= 0.06
         assert est.imag_diag <= 0.2
 
     def test_requires_gue(self):
         cfg = EnsembleConfig(COMPLEX_GINIBRE, 8, 2, 0, 1)
         with pytest.raises(DomainError):
-            rk_montecarlo(line([1.0]), None, cfg)
+            rk_montecarlo(line([1.0]), cfg)
 
     def test_path_dim_must_match(self):
         with pytest.raises(DomainError):
-            rk_montecarlo(line([1.0, 0.0]), None, gue_cfg())
+            rk_montecarlo(line([1.0, 0.0]), gue_cfg())
 
 
 class TestSigkernelMonteCarlo:

@@ -201,13 +201,12 @@ class TestGridInvariants:
             )
             assert abs(value - ref) <= 16.0 * var * math.exp(4.0 * var) * max_piece
 
-    def test_partition_length_checked(self):
-        with pytest.raises(DomainError):
-            solve_explicit(IncrementSequence(np.ones((3, 1))), Partition([0.0, 1.0]))
-
     def test_grid_validation(self):
         with pytest.raises(DomainError):
-            SolutionGrid(Partition([0.0, 1.0]), np.array([[1.0, 0.5], [0.0, 0.9]]))
+            SolutionGrid(np.array([[1.0, 0.5], [0.0, 0.9]]))
+        with pytest.raises(DomainError):
+            SolutionGrid(np.array([[1.0, 0.5]]))
+        assert SolutionGrid(np.array([[1.0, 0.5], [0.0, 1.0]])).final == 0.5
         grid = solve_explicit(IncrementSequence(np.ones((2, 1)) * 0.1))
         with pytest.raises(DomainError):
             grid.value(2, 1)
