@@ -41,7 +41,9 @@ from .signature import (
     _check_feature_budget,
     _check_same_dim,
     _fill_gram,
+    _level_views,
     _reverse_words,
+    _sign_paths,
     truncated_signature,
 )
 
@@ -229,19 +231,21 @@ def series_oracle(path: Path, tol: float = 1e-8) -> SeriesKernel:
     return SeriesKernel(value, series_tail_bound(variation, level), level)
 
 
-def _moment_table(dim: int, length: int) -> np.ndarray:
-    """phi(I) for every word I of one even length over {1..dim}, flat in
-    lexicographic order: each non-crossing pairing adds 1 to the words
-    whose paired letters agree."""
-    table = np.zeros(dim**length)
+def _moment_tables(dim: int, level: int) -> dict[int, np.ndarray]:
+    """phi(I) for every word I over {1..dim} of each even length m <= level,
+    flat in lexicographic order.  Built by the Schwinger-Dyson recursion
+    phi(a u b v) = sum delta_ab phi(u) phi(v), over the even lengths j of u:
+    the first letter pairs with the letter after u.  The entries count
+    non-crossing pairings, so they are exact."""
     letters = np.arange(dim)
-    for partition in nc2_enumerate(length):
-        index = np.zeros(1, dtype=np.int64)
-        for i, j in partition.sorted_pairs():
-            weight = dim ** (length - i) + dim ** (length - j)
-            index = (index[:, None] + letters * weight).ravel()
-        table[index] += 1.0
-    return table
+    tables = {0: np.ones(1)}
+    for m in range(2, level + 1, 2):
+        table = np.zeros(dim**m)
+        for j in range(0, m - 1, 2):
+            words = table.reshape(dim, dim**j, dim, dim ** (m - 2 - j))
+            words[letters, :, letters, :] += np.multiply.outer(tables[j], tables[m - 2 - j])
+        tables[m] = table
+    return tables
 
 
 def _series_column(sig: Sequence[np.ndarray], dim: int, level: int, tables) -> dict[int, np.ndarray]:
@@ -280,19 +284,22 @@ def _series_gram(paths_a: Sequence[Path], paths_b: Sequence[Path], tol: float):
     same = paths_b is paths_a
     var_a = [one_variation(p) for p in paths_a]
     var_b = var_a if same else [one_variation(p) for p in paths_b]
-    levels = np.array([[_series_level(u + v, tol) for v in var_b] for u in var_a])
+    if same:
+        # float addition commutes, so level (j, i) is level (i, j)
+        levels = np.zeros((len(var_a), len(var_a)), dtype=int)
+        for i, j in zip(*np.triu_indices(len(var_a))):
+            levels[i, j] = levels[j, i] = _series_level(var_a[i] + var_a[j], tol)
+    else:
+        levels = np.array([[_series_level(u + v, tol) for v in var_b] for u in var_a])
     row_levels = [int(level) for level in levels.max(axis=1)]
     _check_feature_budget(dim, row_levels)
-    tables = {m: _moment_table(dim, m) for m in range(2, int(levels.max()) + 1, 2)}
-    features = [
-        np.concatenate(truncated_signature(p, level=level).tensors)
-        for p, level in zip(paths_a, row_levels)
-    ]
+    tables = _moment_tables(dim, int(levels.max()))
+    features = _sign_paths(paths_a, row_levels)
 
     def column(j):
         level = int(levels[:, j].max())
         if same:
-            sig = np.split(features[j], np.cumsum([dim**m for m in range(level)]))
+            sig = _level_views(features[j], dim, level)
         else:
             sig = truncated_signature(paths_b[j], level=level).tensors
         factors = _series_column(sig, dim, level, tables)
@@ -307,9 +314,9 @@ def series_gram(paths_a: Sequence[Path], paths_b: Sequence[Path], tol: float = 1
     Pair (i, j) is truncated at the level ``series_oracle`` picks for
     gamma * <-sigma, whose 1-variation is |a_i|_1 + |b_j|_1, and a pair
     that needs more than MAX_SERIES_LEVEL raises the same resource error.
-    Each path is signed once, up to the deepest level of its pairs: the
-    signatures of ``paths_a`` are kept, each path of ``paths_b`` is signed
-    when its column is filled.  By Chen's identity
+    Each path is signed once, up to the deepest level of its pairs:
+    ``paths_a`` in one batched pass, whose signatures are kept, each path of
+    ``paths_b`` when its column is filled.  By Chen's identity
     S(gamma * <-sigma) = S(gamma) (x) S(<-sigma), so level m of the series
     is a bilinear form,
 

@@ -67,25 +67,82 @@ def _identity_levels(dim: int, level: int) -> list[np.ndarray]:
 
 
 def _multiply_segment_exp(levels: list[np.ndarray], inc: np.ndarray, level: int, buffers) -> None:
-    """levels <- levels (x) exp(inc), in place.
+    """levels <- levels (x) exp(inc), in place, for a batch of P paths:
+    ``levels[m]`` is (P, d^m) and ``inc`` is (P, d), one increment per path.
 
     Level m of the product is sum_k S^k (x) inc^(m-k) / (m-k)!, evaluated
     Horner-style as (((inc/m + S^1) (x) inc/(m-1) + S^2) (x) ...) (x) inc
     (Kidger & Lyons, Signatory).  Levels are updated from the top down, so
     the lower levels read along the way still hold the old signature.
-    ``buffers`` is a pair of scratch arrays of d^level entries each.
+    Every step is elementwise, so each path's coefficients do not depend on
+    the others in its batch.  ``buffers`` is a pair of scratch arrays of
+    P * d^level entries each.
     """
-    dim = inc.shape[0]
+    paths, dim = inc.shape
     acc_buf, sum_buf = buffers
     for m in range(level, 0, -1):
-        acc = np.divide(inc, m, out=acc_buf[:dim])
+        acc = np.divide(inc, m, out=acc_buf[: paths * dim].reshape(paths, dim))
         for k in range(1, m):
             size = dim**k
-            total = np.add(levels[k], acc, out=sum_buf[:size])
-            acc = acc_buf[: size * dim]
-            np.multiply(total[:, None], inc, out=acc.reshape(size, dim))
+            total = np.add(levels[k], acc, out=sum_buf[: paths * size].reshape(paths, size))
+            acc = acc_buf[: paths * size * dim].reshape(paths, size * dim)
+            np.multiply(total[:, :, None], inc[:, None, :], out=acc.reshape(paths, size, dim))
             acc /= m - k
         levels[m] += acc
+
+
+def _level_views(features: np.ndarray, dim: int, level: int) -> list[np.ndarray]:
+    """Levels 0..level of signature coefficients concatenated along the last
+    axis, as views."""
+    return np.split(features, np.cumsum([dim**m for m in range(level)]), axis=-1)
+
+
+def _sign_batch(incs: np.ndarray, level: int) -> np.ndarray:
+    """Signatures of P paths with n nonzero increments each, ``incs`` of
+    shape (P, n, d): row p holds levels 0..level of path p, concatenated."""
+    paths, count, dim = incs.shape
+    features = np.zeros((paths, sum(dim**m for m in range(level + 1))))
+    features[:, 0] = 1.0
+    levels = _level_views(features, dim, level)
+    buffers = (np.empty(paths * dim**level), np.empty(paths * dim**level))
+    for k in range(count):
+        _multiply_segment_exp(levels, incs[:, k], level, buffers)
+    return features
+
+
+def _nonzero_increments(path: Path, s: float, t: float) -> np.ndarray:
+    """Increments of the path's segments over [s, t], zero ones dropped:
+    a zero increment multiplies the signature by exp(0) = 1."""
+    if s == t:
+        return np.zeros((0, path.dim))
+    incs = np.diff(_clip_points(path, s, t), axis=0)
+    return incs[np.any(incs, axis=1)]
+
+
+def _sign_paths(paths: Sequence[Path], levels: Sequence[int]) -> list[np.ndarray]:
+    """Signature of each whole path, paths[i] up to levels[i], with its
+    levels concatenated.
+
+    Paths that share a level and a count of nonzero increments are signed
+    together, one batched Horner update per segment index, in chunks that
+    keep each scratch buffer within MAX_TENSOR_ENTRIES.  Each path's
+    coefficients equal those ``truncated_signature`` returns, bit for bit.
+    """
+    dim = paths[0].dim
+    incs = [_nonzero_increments(p, p.start_time, p.end_time) for p in paths]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, level in enumerate(levels):
+        groups.setdefault((level, len(incs[i])), []).append(i)
+    signed: list = [None] * len(paths)
+    for (level, _), members in groups.items():
+        _check_storage(dim, level)
+        chunk = MAX_TENSOR_ENTRIES // dim**level
+        for start in range(0, len(members), chunk):
+            part = members[start : start + chunk]
+            batch = _sign_batch(np.stack([incs[i] for i in part]), level)
+            for row, i in enumerate(part):
+                signed[i] = batch[row]
+    return signed
 
 
 def chen_product(a: TruncatedSignature, b: TruncatedSignature) -> TruncatedSignature:
@@ -121,16 +178,8 @@ def truncated_signature(
         raise DomainError("interval must satisfy s <= t")
     if s < path.start_time or t > path.end_time:
         raise DomainError("interval outside path span")
-    levels = _identity_levels(path.dim, level)
-    if s < t:
-        pts = _clip_points(path, s, t)
-        buffers = (np.empty(path.dim**level), np.empty(path.dim**level))
-        for k in range(len(pts) - 1):
-            inc = pts[k + 1] - pts[k]
-            if not np.any(inc):
-                continue
-            _multiply_segment_exp(levels, inc, level, buffers)
-    return TruncatedSignature(path.dim, level, tuple(levels))
+    features = _sign_batch(_nonzero_increments(path, s, t)[None], level)[0]
+    return TruncatedSignature(path.dim, level, tuple(_level_views(features, path.dim, level)))
 
 
 def _reverse_words(rows: np.ndarray, dim: int, m: int) -> np.ndarray:
@@ -189,15 +238,15 @@ def _signature_pair(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> float:
 def signature_gram(paths_a: Sequence[Path], paths_b: Sequence[Path], level: int) -> np.ndarray:
     """Truncated signature kernel of every pair, sum_{m<=L} <S^m(a_i), S^m(b_j)>.
 
-    Each path is signed once: the signatures of ``paths_a`` are kept, and
-    each path of ``paths_b`` is signed when its column is filled (passing
-    the same sequence twice signs it once).  Every entry is the same sum of
-    level-wise dot products that ``signature_kernel_truncated`` returns, so
-    the two agree bit for bit.
+    Each path is signed once: ``paths_a`` in one batched pass, whose
+    signatures are kept, and each path of ``paths_b`` when its column is
+    filled (passing the same sequence twice signs it once).  Every entry is
+    the same sum of level-wise dot products that
+    ``signature_kernel_truncated`` returns, so the two agree bit for bit.
     """
     dim = _check_same_dim(paths_a, paths_b)
     _check_feature_budget(dim, [level] * len(paths_a))
-    sig_a = [truncated_signature(p, level=level).tensors for p in paths_a]
+    sig_a = [_level_views(f, dim, level) for f in _sign_paths(paths_a, [level] * len(paths_a))]
     same = paths_b is paths_a
 
     def column(j):

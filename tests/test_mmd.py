@@ -18,9 +18,10 @@ from sigdev import (
     series_oracle,
     signature_gram,
     signature_kernel_truncated,
+    truncated_signature,
     write_paths_jsonl,
 )
-from sigdev import sdkernel
+from sigdev import sdkernel, signature
 from sigdev.cli import main
 from sigdev.signature import MAX_FEATURE_ENTRIES, _check_feature_budget
 from helpers import make_piecewise_linear
@@ -187,6 +188,26 @@ class TestBatchedGrams:
                     assert series[i, j] == k_sd(g, s, "series", tol=1e-8)
                     assert signature[i, j] == signature_kernel_truncated(g, s, level=6).value
 
+    @staticmethod
+    def sign_one_by_one(paths, levels):
+        return [
+            np.concatenate(truncated_signature(p, level=int(level)).tensors) for p, level in zip(paths, levels)
+        ]
+
+    def test_batched_signing_gives_the_same_bits(self, monkeypatch):
+        # one-sample series rows at levels 10, 12 and 14; a ragged two-sample pair
+        rows = paths_of_variation((0.35, 0.55, 0.75), seed=130, segments=6)
+        assert sorted(sdkernel._series_gram(rows, rows, 1e-6)[1].max(axis=1)) == [10, 12, 14]
+        a = paths_of_variation((0.3, 0.6, 0.4), seed=140, segments=5)
+        b = paths_of_variation((0.5, 0.2), seed=150, segments=3)
+        cases = [(rows, rows), (a, b), (b, a)]
+        batched = [(series_gram(x, y, 1e-6), signature_gram(x, y, 8)) for x, y in cases]
+        monkeypatch.setattr(sdkernel, "_sign_paths", self.sign_one_by_one)
+        monkeypatch.setattr(signature, "_sign_paths", self.sign_one_by_one)
+        for (x, y), (series, sig) in zip(cases, batched):
+            assert series.tobytes() == series_gram(x, y, 1e-6).tobytes()
+            assert sig.tobytes() == signature_gram(x, y, 8).tobytes()
+
     def test_feature_budget_raises_before_signing(self):
         # six d=3 paths at level 14 hold 6 * 7.2e6 coefficients, over 4e7,
         # though each single signature passes its own 1e7-entry check
@@ -328,15 +349,18 @@ class TestMmd2:
             assert got == self.three_gram_mmd2(a, b, "sig_truncated", spec, unbiased)
 
     def test_signs_each_path_once(self, monkeypatch):
-        calls = []
+        signed = []
 
-        def counted(path, *args, _sign=sdkernel.truncated_signature, **kwargs):
-            calls.append(path)
-            return _sign(path, *args, **kwargs)
+        def counted(incs, level, _sign=signature._sign_batch):
+            signed.extend(incs)
+            return _sign(incs, level)
 
-        monkeypatch.setattr(sdkernel, "truncated_signature", counted)
-        mmd2(fbm_sample(range(1, 9)), fbm_sample(range(11, 19)), "sd_series", KernelSpec(tol=1e-6))
-        assert len(calls) == 16
+        monkeypatch.setattr(signature, "_sign_batch", counted)
+        a, b = fbm_sample(range(1, 9)), fbm_sample(range(11, 19))
+        mmd2(a, b, "sd_series", KernelSpec(tol=1e-6))
+        assert len(signed) == 16
+        for path in a.paths + b.paths:
+            assert sum(np.array_equal(incs, np.diff(path.points, axis=0)) for incs in signed) == 1
 
     def test_grid_scheme_diagonal_near_one(self):
         p = make_piecewise_linear(6, 5, 2, 0.5)

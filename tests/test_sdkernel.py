@@ -20,6 +20,7 @@ from sigdev import (
     exact_straight_line,
     iterated_sums_signature,
     k_sd,
+    nc2_enumerate,
     one_variation,
     piecewise_constant_increments,
     semicircle_charfn,
@@ -29,7 +30,7 @@ from sigdev import (
     solve_explicit,
     solve_implicit,
 )
-from sigdev import backend
+from sigdev import backend, sdkernel
 from sigdev.sdkernel import SolutionGrid
 from helpers import make_piecewise_linear
 
@@ -316,3 +317,24 @@ def test_explicit_equals_iss_contraction_property(seed):
     deltas = rng.normal(size=(n, 2)) * 0.4
     lhs = solve_explicit(IncrementSequence(deltas)).final
     assert lhs == pytest.approx(moment_iss_contraction(deltas), abs=1e-10)
+
+
+def pairing_count_table(dim, length):
+    """phi(I) over words of one even length: each non-crossing pairing adds
+    1 to the words whose paired letters agree."""
+    table = np.zeros(dim**length)
+    letters = np.arange(dim)
+    for partition in nc2_enumerate(length):
+        index = np.zeros(1, dtype=np.int64)
+        for i, j in partition.sorted_pairs():
+            index = (index[:, None] + letters * (dim ** (length - i) + dim ** (length - j))).ravel()
+        table[index] += 1.0
+    return table
+
+
+@pytest.mark.parametrize("dim, level", [(1, 12), (2, 12), (3, 8)])
+def test_moment_tables_equal_pairing_counts(dim, level):
+    tables = sdkernel._moment_tables(dim, level)
+    assert sorted(tables) == list(range(0, level + 1, 2))
+    for m in range(2, level + 1, 2):
+        assert tables[m].tobytes() == pairing_count_table(dim, m).tobytes()

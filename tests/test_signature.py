@@ -22,7 +22,8 @@ from sigdev import (
     signature_kernel_truncated,
     truncated_signature,
 )
-from sigdev.signature import _reverse_words
+from sigdev import signature
+from sigdev.signature import _reverse_words, _sign_paths
 from helpers import make_piecewise_linear
 
 
@@ -210,6 +211,72 @@ class TestCoordinateCoefficient:
         sig = truncated_signature(line([1.0]), level=1)
         with pytest.raises(DomainError):
             coordinate_coefficient(sig, (2,))
+
+
+def per_path_features(paths, level):
+    return [np.concatenate(truncated_signature(p, level=level).tensors) for p in paths]
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBatchedSigning:
+    """_sign_paths against one truncated_signature call per path, bit for bit."""
+
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        """Sizes of the batches _sign_paths signs, in order."""
+        sizes = []
+
+        def recorded(incs, level, _sign=signature._sign_batch):
+            sizes.append(len(incs))
+            return _sign(incs, level)
+
+        monkeypatch.setattr(signature, "_sign_batch", recorded)
+        return sizes
+
+    def assert_matches_per_path(self, paths, level):
+        batched = _sign_paths(paths, [level] * len(paths))
+        for got, expected in zip(batched, per_path_features(paths, level), strict=True):
+            assert same_bits(got, expected)
+
+    def test_ragged_sample(self):
+        paths = [make_piecewise_linear(200 + k, segments, 2, 0.8) for k, segments in enumerate((1, 3, 4, 7, 4))]
+        self.assert_matches_per_path(paths, 6)
+
+    def test_interior_zero_increments(self, batches):
+        # zero increments are dropped, so all three have 3 and share a batch
+        stalled = Path([0.0, 0.2, 0.5, 0.7, 1.0], [[0.0, 0.0], [0.3, 0.1], [0.3, 0.1], [0.1, 0.4], [0.6, 0.2]])
+        twice = Path(np.linspace(0.0, 1.0, 6), [[0.0, 0.0], [0.0, 0.0], [-0.2, 0.3], [-0.2, 0.3], [0.1, 0.1], [0.4, -0.2]])
+        self.assert_matches_per_path([stalled, make_piecewise_linear(210, 3, 2, 0.9), twice], 7)
+        assert batches[0] == 3
+
+    def test_constant_coordinate(self):
+        # increments (a, 0) with a < 0 make -0.0 products in the Horner update
+        flat = Path([0.0, 0.4, 1.0], [[0.5, 2.0], [-0.1, 2.0], [-0.7, 2.0]])
+        constant = Path([0.0, 1.0], [[1.0, -1.0], [1.0, -1.0]])
+        self.assert_matches_per_path([flat, make_piecewise_linear(220, 2, 2, 0.7), constant], 6)
+
+    def test_levels_differ_per_path(self):
+        paths = [make_piecewise_linear(230 + k, 5, 2, 0.6) for k in range(4)]
+        levels = [4, 9, 4, 0]
+        for got, path, level in zip(_sign_paths(paths, levels), paths, levels, strict=True):
+            assert same_bits(got, per_path_features([path], level)[0])
+
+    def test_chunks_stay_within_tensor_cap(self, monkeypatch, batches):
+        paths = [make_piecewise_linear(240 + k, 4, 2, 0.9) for k in range(5)]
+        expected = per_path_features(paths, 6)
+        batches.clear()
+        monkeypatch.setattr(signature, "MAX_TENSOR_ENTRIES", 2 * 2**6)
+        batched = _sign_paths(paths, [6] * 5)
+        assert batches == [2, 2, 1]
+        for got, want in zip(batched, expected, strict=True):
+            assert same_bits(got, want)
+
+    def test_tensor_cap_still_refuses_a_level(self):
+        with pytest.raises(ResourceLimitError):
+            _sign_paths([make_piecewise_linear(250, 3, 10, 1.0)], [8])
 
 
 class TestSignatureKernel:
