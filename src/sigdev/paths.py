@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, ResourceLimitError
 from .rng import TAG_FBM, keyed_generator
 
 _COVER_RTOL = 1e-9
@@ -221,16 +221,26 @@ def dyadic_refine(partition: Partition, order: int) -> Partition:
 
 def refine_to_variation(path: Path, max_variation: float) -> Partition:
     """Partition of the path's knots refined until every subinterval carries
-    1-variation at most ``max_variation``."""
-    if max_variation <= 0:
+    1-variation at most ``max_variation``.
+
+    Segment k is split into ``ceil(|D[k]| / max_variation)`` equal parts
+    (at least one), with knots ``a + (b - a) * j / splits``.
+    """
+    if not max_variation > 0:
         raise DomainError("max_variation must be positive")
-    knots = [path.times[0]]
-    for k in range(len(path.times) - 1):
-        a, b = path.times[k], path.times[k + 1]
-        seg = float(np.linalg.norm(path.points[k + 1] - path.points[k]))
-        splits = max(1, int(np.ceil(seg / max_variation)))
-        knots.extend(a + (b - a) * (j + 1) / splits for j in range(splits))
-    return Partition(np.asarray(knots))
+    deltas = np.diff(path.points, axis=0)
+    # a stack of (1, d) @ (d, 1) products takes the same dot product per
+    # segment as np.linalg.norm, so every norm keeps its last bit
+    norms = np.sqrt((deltas[:, None, :] @ deltas[:, :, None])[:, 0, 0])
+    splits = np.maximum(1.0, np.ceil(norms / max_variation))
+    if splits.sum() >= 2.0**62:  # knot indices would wrap in int64
+        raise ResourceLimitError(f"refining to max_variation {max_variation!r} needs too many knots")
+    splits = splits.astype(np.int64)
+    segment = np.repeat(np.arange(len(splits)), splits)
+    steps = np.arange(1, len(segment) + 1) - np.repeat(np.cumsum(splits) - splits, splits)
+    a, b = path.times[:-1][segment], path.times[1:][segment]
+    knots = np.concatenate((path.times[:1], a + (b - a) * steps / splits[segment]))
+    return Partition(knots)
 
 
 def scaled(path: Path, factor: float) -> Path:

@@ -117,7 +117,18 @@ def solve_implicit(incs: IncrementSequence) -> SolutionGrid:
                   / (1 + <D[b-1], D[b-1]>),
 
     obtained by moving the diagonal term of the right-point double sum to
-    the left-hand side.
+    the left-hand side.  The grid is solved row by row, bottom-up, in the
+    equivalent form
+
+        K[i][b] = (K[i+1][b]
+                   - sum_{r=i+1}^{b-1} K[i+1][r+1] <D[i], D[r]> K[r][b])
+                  / (1 + <D[i], D[i]>),
+
+    one vector-matrix product per row: for a fixed i the cell equations are
+    one lower-triangular system whose matrix does not depend on i, so each
+    row is a column of its inverse, and the block inverse of a triangular
+    matrix gives that column from the rows already solved below it (see
+    :mod:`sigdev.backend`).
     """
     return SolutionGrid(backend.implicit_grid(_gram(incs)))
 

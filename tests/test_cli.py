@@ -475,10 +475,30 @@ def test_selftest_command_passes(capsys):
 
 
 def test_import_leaves_scipy_linalg_unloaded():
-    """scipy.linalg is imported by the right-point solver on first use, not
-    by ``import sigdev``, so commands that never solve it skip its cost."""
+    """``import sigdev`` does not load scipy.linalg, whose import costs time
+    and memory that no command needs."""
     probe = "import sys, sigdev, sigdev.cli; print('scipy.linalg' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "False"
+
+
+def test_grid_routes_leave_scipy_linalg_unloaded(tmp_path):
+    """Both grid schemes, in the library and in ``converge``, run on numpy alone."""
+    line_csv = tmp_path / "line.csv"
+    line_csv.write_text("t,x0,x1\n0,0,0\n0.5,0.2,-0.1\n1,0.3,0.1\n")
+    probe = (
+        "import sys, numpy as np, sigdev\n"
+        "from sigdev.cli import main\n"
+        "p = sigdev.Path([0.0, 0.5, 1.0], np.array([[0.0, 0.0], [0.2, -0.1], [0.3, 0.1]]))\n"
+        "for scheme in ('explicit', 'implicit'):\n"
+        "    sigdev.k_sd(p, p, scheme, mesh=0.05)\n"
+        f"assert main(['converge', {str(line_csv)!r}, '--scheme', 'implicit', '--lambda', '0..2',"
+        " '--matrix-dim', '']) == 0\n"
+        "print('scipy.linalg' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert proc.stderr.strip().splitlines()[-1] == "False"

@@ -10,6 +10,7 @@ from sigdev import (
     IncrementSequence,
     Partition,
     Path,
+    ResourceLimitError,
     concat_reverse,
     dyadic_refine,
     gen_fbm,
@@ -189,8 +190,44 @@ class TestRefineToVariation:
             assert one_variation(p, (a, b)) <= 0.05 + 1e-12
 
     def test_positive_mesh_required(self):
-        with pytest.raises(DomainError):
-            refine_to_variation(line([1.0]), 0.0)
+        for mesh in (0.0, -1.0, float("nan")):
+            with pytest.raises(DomainError):
+                refine_to_variation(line([1.0]), mesh)
+
+    def test_mesh_too_fine_for_any_partition(self):
+        with pytest.raises(ResourceLimitError):
+            refine_to_variation(line([1.0]), 1e-300)
+
+    def test_knots_equal_segment_by_segment_loop(self):
+        def loop_knots(path, max_variation):
+            knots = [path.times[0]]
+            for k in range(len(path.times) - 1):
+                a, b = path.times[k], path.times[k + 1]
+                seg = float(np.linalg.norm(path.points[k + 1] - path.points[k]))
+                splits = max(1, int(np.ceil(seg / max_variation)))
+                knots.extend(a + (b - a) * (j + 1) / splits for j in range(splits))
+            return np.asarray(knots)
+
+        rng = np.random.default_rng(8)
+        paths = [Path([0.5], [[1.0, 2.0]])]
+        for n_points, dim in ((2, 1), (5, 2), (17, 3), (40, 2), (9, 5)):
+            times = np.cumsum(rng.uniform(0.01, 1.0, size=n_points)) - 0.7
+            points = rng.normal(size=(n_points, dim)) * rng.uniform(0.05, 2.0)
+            paths.append(Path(times, points))
+        # a zero-length segment, and one whose variation is exactly 3 meshes
+        paths.append(Path([0.0, 0.25, 1.0, 2.0], [[0.0, 0.0], [0.0, 0.0], [0.3, 0.4], [0.0, 0.0]]))
+        for path in paths:
+            for mesh in (0.5 / 3, 0.02, 0.1, 1.0, 10.0):
+                got = refine_to_variation(path, mesh).knots
+                expected = loop_knots(path, mesh)
+                assert got.shape == expected.shape and np.all(got == expected)
+        assert len(refine_to_variation(paths[-1], 0.5 / 3).knots) == 1 + 1 + 3 + 3
+        # a mesh equal to a segment's norm, or one ulp below it, turns a
+        # last-bit difference in that norm into a different split count
+        path = Path(np.arange(61.0), rng.normal(size=(61, 3)))
+        for norm in np.linalg.norm(np.diff(path.points, axis=0), axis=1):
+            for mesh in (norm, np.nextafter(norm, 0.0)):
+                assert np.all(refine_to_variation(path, mesh).knots == loop_knots(path, mesh))
 
 
 class TestGenFbm:

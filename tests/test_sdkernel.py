@@ -134,23 +134,48 @@ class TestImplicitScheme:
         for a, b in zip(diffs[:-1], diffs[1:]):
             assert a / b >= 1.7
 
-    def test_triangular_solves_match_cell_recurrence(self, monkeypatch):
+    def test_row_sweep_matches_cell_recurrence(self):
         rng = np.random.default_rng(4)
         deltas = rng.normal(size=(40, 2)) * 0.1
         deltas[[0, 17, 39]] = 0.0
         gram = deltas @ deltas.T
-        size = len(deltas) + 1
-        expected = np.eye(size)
-        for b in range(1, size):
-            for i in range(b - 1, -1, -1):
-                acc = sum(expected[i, k] * expected[k, b] * gram[k - 1, b - 1] for k in range(i + 1, b))
-                expected[i, b] = (expected[i, b - 1] - acc) / (1.0 + gram[b - 1, b - 1])
-        # one block per column, then row blocks of 16 (edges at rows 24 and 8) and of 1
-        for block in (backend._SOLVE_BLOCK, 16, 1):
-            monkeypatch.setattr(backend, "_SOLVE_BLOCK", block)
-            got = backend.implicit_grid(gram)
-            assert np.abs(got - expected).max() <= 1e-13, block
-            assert np.array_equal(got, backend.implicit_grid(gram))
+        got = backend.implicit_grid(gram)
+        assert np.abs(got - _cell_recurrence(gram)).max() <= 1e-13
+        assert np.array_equal(got, backend.implicit_grid(gram))
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0])
+    def test_row_sweep_matches_cell_recurrence_at_large_increments(self, scale):
+        # entries fall far below 1 here, so the error is taken relative to the grid's size
+        rng = np.random.default_rng(5)
+        deltas = rng.normal(size=(30, 3)) * scale
+        gram = deltas @ deltas.T
+        expected = _cell_recurrence(gram)
+        got = backend.implicit_grid(gram)
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("row", [0, 7, 15])
+    def test_row_sweep_with_a_zero_increment(self, row):
+        rng = np.random.default_rng(6)
+        deltas = rng.normal(size=(16, 2)) * 0.2
+        deltas[row] = 0.0
+        gram = deltas @ deltas.T
+        assert np.abs(backend.implicit_grid(gram) - _cell_recurrence(gram)).max() <= 1e-13
+
+    def test_row_sweep_on_empty_and_single_step_grids(self):
+        assert np.array_equal(backend.implicit_grid(np.zeros((0, 0))), np.ones((1, 1)))
+        gram = np.array([[0.3]])
+        assert np.array_equal(backend.implicit_grid(gram), _cell_recurrence(gram))
+
+
+def _cell_recurrence(gram):
+    """Right-point grid solved one cell at a time, column by column, rows bottom-up."""
+    size = len(gram) + 1
+    expected = np.eye(size)
+    for b in range(1, size):
+        for i in range(b - 1, -1, -1):
+            acc = sum(expected[i, k] * expected[k, b] * gram[k - 1, b - 1] for k in range(i + 1, b))
+            expected[i, b] = (expected[i, b - 1] - acc) / (1.0 + gram[b - 1, b - 1])
+    return expected
 
 
 class TestGridInvariants:
