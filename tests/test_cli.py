@@ -164,6 +164,16 @@ class TestConvergeCommand:
         assert captured.out == ""
         assert "sd_explicit" in captured.err and "sd_implicit" in captured.err
 
+    @pytest.mark.parametrize("size, grids", [(1e50, []), (1e200, ["--lambda", ""])])
+    def test_overflowing_development_exits_3(self, tmp_path, capsys, size, grids):
+        # at 1e50 the grids pass and the development's squarings overflow;
+        # at 1e200 the grids fail (exit 2), so they are left out
+        a = write_line_csv(tmp_path, "big.csv", [size])
+        assert main(["converge", a, "--matrix-dim", "4", "--mc-samples", "2"] + grids) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error" in captured.err
+
     def test_deterministic_bytes(self, tmp_path):
         a = write_line_csv(tmp_path, "l.csv", [1.0])
         outs = []

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,6 +11,7 @@ from sigdev import (
     DomainError,
     EnsembleConfig,
     IncrementSequence,
+    NumericError,
     Partition,
     Path,
     gl_development,
@@ -16,7 +20,7 @@ from sigdev import (
     sigkernel_montecarlo,
     unitary_development,
 )
-from sigdev.randomdev import _expm
+from sigdev.randomdev import _expm, _powers, _word_degree, _word_products, _words
 from sigdev.sdkernel import exact_straight_line
 
 
@@ -97,24 +101,32 @@ EXPM_ALPHAS = (
 )
 
 
+def _word_powers(generators, c):
+    """X, X^2, X^3 of X = sum_j c_j B_j, built from the words of degree 3."""
+    return _powers(_words(generators, 1.0, 3), np.asarray(c, dtype=float))
+
+
 class TestTaylorExponential:
     @pytest.mark.parametrize("n", [1, 2, 24, 200])
     @pytest.mark.parametrize("kind", [GUE, COMPLEX_GINIBRE])
     def test_matches_scipy_expm(self, n, kind):
-        base = sample_matrices(EnsembleConfig(kind, n, 1, 17, 1), 0)[0]
+        mats = sample_matrices(EnsembleConfig(kind, n, 1, 17, 2), 0)
         if kind == GUE:
-            base = 1j * base
-        unit = base / _alpha(base)
+            mats = [1j * a for a in mats]
+        direction = np.array([0.6, -0.8])
+        unit = direction / _alpha(direction[0] * mats[0] + direction[1] * mats[1])
         for alpha in EXPM_ALPHAS:
-            x = unit * alpha
-            expected = scipy.linalg.expm(x)
-            got = _expm(x.copy())
+            c = unit * alpha
+            expected = scipy.linalg.expm(c[0] * mats[0] + c[1] * mats[1])
+            got = _expm(_word_powers(mats, c))
             rel = np.linalg.norm(got - expected, 1) / np.linalg.norm(expected, 1)
             assert rel <= 1e-13, (n, kind, alpha, rel)
 
     def test_zero_matrix_gives_identity_exactly(self):
         for n in (1, 2, 24):
-            assert np.array_equal(_expm(np.zeros((n, n), dtype=np.complex128)), np.eye(n))
+            zero = np.zeros((n, n), dtype=np.complex128)
+            assert np.array_equal(_expm(np.zeros((3, n, n), dtype=np.complex128)), np.eye(n))
+            assert np.array_equal(_expm(_word_powers([zero, zero], [0.0, 0.0])), np.eye(n))
 
     def test_one_dimensional_gue_matches_eigendecomposition(self):
         cfg = gue_cfg(dim_n=200)
@@ -124,6 +136,135 @@ class TestTaylorExponential:
         eigvals, eigvecs = np.linalg.eigh(mats[0])
         phase = np.exp(1j * eigvals * deltas.sum() / np.sqrt(cfg.dim_n))
         assert np.abs(z - (eigvecs * phase) @ eigvecs.conj().T).max() <= 1e-13
+
+
+class TestWords:
+    @pytest.mark.parametrize(
+        "dim, segments, degree",
+        # the last two are ties (8 = 8 products, 10 = 10) that go to the lower degree
+        [(1, 15, 3), (2, 15, 3), (3, 15, 2), (2, 1, 1), (5, 14, 1), (2, 4, 1), (2, 6, 2)],
+    )
+    def test_word_degree(self, dim, segments, degree):
+        assert _word_degree(dim, segments) == degree
+
+    def test_product_counts(self):
+        # d = 2 up to degree 3: 2 + 3 + 4 words made by 4 + 6 products
+        assert [_word_products(2, p) for p in (1, 2, 3)] == [0, 4, 10]
+        for dim in range(1, 7):
+            for degree in (1, 2, 3):
+                # one product per distinct letter of each multiset of 2 or more letters
+                count = sum(
+                    len(set(a))
+                    for k in range(2, degree + 1)
+                    for a in itertools.combinations_with_replacement(range(dim), k)
+                )
+                assert _word_products(dim, degree) == count, (dim, degree)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_words_are_symmetrised_products(self, dim):
+        rng = np.random.default_rng(dim)
+        gens = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(dim)]
+        words = _words(gens, 1.0, 3)
+        assert sum(len(stack) for _, stack in words) == math.comb(dim + 3, 3) - 1
+        for degree, (letters, stack) in enumerate(words, start=1):
+            assert [tuple(a) for a in letters] == list(
+                itertools.combinations_with_replacement(range(dim), degree)
+            )
+            for a, word in zip(letters, stack):
+                expected = sum(
+                    np.linalg.multi_dot([np.eye(3)] + [gens[j] for j in order])
+                    for order in set(itertools.permutations(a))
+                )
+                assert np.abs(word - expected).max() <= 1e-13, a
+
+
+def _generator(incs, mats, n_dim, k, unit):
+    """sum_j (unit D_k^j / sqrt(N)) A_j, formed for one factor: the reference
+    against which the word-built powers are checked."""
+    x = None
+    for j in range(incs.dim):
+        coeff = incs.deltas[k, j]
+        if coeff != 0.0:
+            term = mats[j] * (unit * coeff / np.sqrt(n_dim))
+            if x is None:
+                x = term
+            else:
+                x += term
+    return x
+
+
+def _reference_development(incs, mats, n_dim, unit):
+    """The per-factor loop: each factor's powers by X @ X and X^2 @ X."""
+    z = None
+    for k in range(len(incs)):
+        if not np.any(incs.deltas[k]):
+            continue
+        x = _generator(incs, mats, n_dim, k, unit)
+        x2 = x @ x
+        factor = _expm(np.stack([x, x2, x2 @ x]))
+        z = factor if z is None else z @ factor
+    return np.eye(n_dim, dtype=np.complex128) if z is None else z
+
+
+def _segments_for(dim, degree):
+    """A count of nonzero increments at which the development uses words of
+    ``degree``: the smallest from 4 on (room for every kind of row), else
+    the largest below 4."""
+    counts = [s for s in range(1, 200) if _word_degree(dim, s) == degree]
+    return min((s for s in counts if s >= 4), default=max(counts, default=0))
+
+
+def _equivalence_cases():
+    for dim in (1, 2, 3, 5):
+        for degree in (1, 2, 3):
+            segments = _segments_for(dim, degree)
+            for n in (1, 2, 24, 200):
+                if segments and (n < 200 or segments <= 10):
+                    yield dim, degree, n
+
+
+def _increments(mats, unit, segments, seed):
+    """``segments`` nonzero rows, in order: one at alpha = 40, one where only
+    the last coordinate moves, one at alpha = 2.5, then small random rows;
+    rows of zeros before, among and after them."""
+    dim, n = len(mats), mats[0].shape[0]
+    rng = np.random.default_rng(seed)
+
+    def at_alpha(target):
+        c = rng.uniform(0.5, 1.0, dim) * rng.choice([-1.0, 1.0], dim)
+        return c * (target / _alpha(unit * sum(cj * a for cj, a in zip(c, mats)) / np.sqrt(n)))
+
+    only_last = np.zeros(dim)
+    only_last[-1] = 0.7
+    rows = [at_alpha(40.0), only_last, at_alpha(2.5)]
+    rows = (rows + [rng.uniform(-0.3, 0.3, dim) for _ in range(segments - 3)])[:segments]
+    zero = np.zeros(dim)
+    return IncrementSequence(np.array([zero] + rows[:2] + [zero] + rows[2:] + [zero]))
+
+
+class TestWordDevelopments:
+    @pytest.mark.parametrize("dim, degree, n", list(_equivalence_cases()))
+    @pytest.mark.parametrize("kind", [GUE, COMPLEX_GINIBRE])
+    def test_matches_per_factor_powers(self, kind, dim, degree, n):
+        unit, develop = (1j, unitary_development) if kind == GUE else (1.0, gl_development)
+        mats = sample_matrices(EnsembleConfig(kind, n, 1, 31, dim), 0)
+        incs = _increments(mats, unit, _segments_for(dim, degree), seed=dim * 10 + degree)
+        assert _word_degree(dim, int(np.any(incs.deltas, axis=1).sum())) == degree
+        expected = _reference_development(incs, mats, n, unit)
+        got = develop(incs, mats, n)
+        rel = np.linalg.norm(got - expected, 1) / np.linalg.norm(expected, 1)
+        assert rel <= 1e-13, rel
+        if kind == GUE:
+            assert np.abs(got.conj().T @ got - np.eye(n)).max() <= 1e-10
+
+    @pytest.mark.parametrize("size", [1e50, 1e200])
+    @pytest.mark.parametrize(
+        "develop, kind", [(unitary_development, GUE), (gl_development, COMPLEX_GINIBRE)]
+    )
+    def test_overflow_raises(self, develop, kind, size):
+        mats = sample_matrices(EnsembleConfig(kind, 4, 1, 0, 1), 0)
+        with pytest.raises(NumericError):
+            develop(IncrementSequence(np.array([[0.5], [size]])), mats, 4)
 
 
 class TestUnitaryDevelopment:
