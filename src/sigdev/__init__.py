@@ -52,6 +52,7 @@ from .randomdev import (
 from .sdkernel import (
     SolutionGrid,
     exact_straight_line,
+    grid_gram,
     k_sd,
     semicircle_charfn,
     series_gram,

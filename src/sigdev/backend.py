@@ -35,37 +35,130 @@ Grid conventions, with increments ``D[k] = g(t[k+1]) - g(t[k])`` and
   matrix writes its leading column as one product of the trailing part of
   the inverse (the rows r > i, already solved) with the leading column of
   T, which is the row form above.
+
+Many grids are solved together as one stack, one stacked ``np.matmul`` per
+column or row for every pair of the batch.  A zero increment makes its
+column (left-point) or row (right-point) an exact copy of the one before,
+so a pair padded with zero increments up to the batch's largest n has the
+same value: the padding goes at the end for left-point, where the pair
+fills the leading block of its slot, and at the start for right-point,
+where it fills the trailing block.  Those copies are never computed: the
+pairs are sorted by n, largest first, so the pairs still being solved are
+a prefix of the stack, and each step runs on that prefix only.  Every
+pair's block is then made by the same BLAS calls, with the same shapes, as
+its grid solved alone, so it is equal bit for bit.  ``explicit_grid`` and
+``implicit_grid`` are the one-pair case.
+
+A batch's grid stack holds at most ``_BATCH_CELLS`` = 2^16 float64 cells
+(512 KiB), unless it holds a single pair; its Gram stack is no larger.
+Both are carved from one workspace of twice that size, which every batch
+that fits reuses.
+
+A grid or Gram that is not finite (an increment too large to square)
+raises ``NumericError``; numpy's overflow warnings are silenced, since
+that check reports the failure.
 """
 
 from __future__ import annotations
 
+from typing import Iterable, Iterator, Sequence, TypeVar
+
 import numpy as np
 
+from .errors import NumericError
+
 BACKEND = "numpy"  # the only backend; named in the benchmark's environment record
+
+_BATCH_CELLS = 2**16
+
+_Item = TypeVar("_Item")
+
+
+def _batched(items: Iterable[tuple[int, _Item]], cells: int = _BATCH_CELLS) -> Iterator[list[_Item]]:
+    """Group ``(size, item)`` pairs, in order, into batches whose grid stack
+    (count x largest size x largest size) holds at most ``cells`` cells.
+    A grid larger than that gets a batch of its own."""
+    batch: list[_Item] = []
+    largest = 0
+    for size, item in items:
+        grown = max(largest, size)
+        if batch and (len(batch) + 1) * grown * grown > cells:
+            yield batch
+            batch, grown = [], size
+        batch.append(item)
+        largest = grown
+    if batch:
+        yield batch
+
+
+def _block(stack: np.ndarray, k: int, size: int, implicit: bool) -> np.ndarray:
+    """Pair k's size x size block of a Gram or grid stack: leading for the
+    left-point scheme, trailing for the right-point one."""
+    start = stack.shape[-1] - size if implicit else 0
+    return stack[k, start : start + size, start : start + size]
+
+
+def _stacks(count: int, n: int, workspace: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Zeroed (count, n, n) Gram and (count, n+1, n+1) grid stacks, carved
+    from ``workspace`` when they fit in it.  Batches that fit all reuse that
+    memory, where fresh stacks of varying sizes would grow the heap."""
+    cells = count * n * n
+    total = cells + count * (n + 1) ** 2
+    if total > workspace.size:
+        workspace = np.empty(total)
+    flat = workspace[:total]
+    flat[:] = 0.0
+    return flat[:cells].reshape(count, n, n), flat[cells:].reshape(count, n + 1, n + 1)
+
+
+def _explicit_stack(grams: np.ndarray, sizes: Sequence[int], grids: np.ndarray) -> None:
+    n = grams.shape[1]
+    grids[:, range(n + 1), range(n + 1)] = 1.0
+    active = len(sizes)
+    for b in range(1, n + 1):
+        while sizes[active - 1] < b:
+            active -= 1
+        grid = grids[:active]
+        weights = grid[:, 1:b, b - 1 : b] * grams[:active, 0 : b - 1, b - 1 : b]
+        grid[:, 0:b, b : b + 1] = grid[:, 0:b, b - 1 : b] - grid[:, 0:b, 0 : b - 1] @ weights
+
+
+def _implicit_stack(grams: np.ndarray, sizes: Sequence[int], grids: np.ndarray) -> None:
+    n = grams.shape[1]
+    # The diagonal stays 0 until the end, so each product sees only r < b;
+    # the row's first entry gets the K[i+1][i+1] = 1 it leaves out.
+    active = len(sizes)
+    for i in range(n - 1, -1, -1):
+        while sizes[active - 1] < n - i:
+            active -= 1
+        grid = grids[:active]
+        weights = grid[:, i + 1 : i + 2, i + 2 :] * grams[:active, i : i + 1, i + 1 :]
+        row = grid[:, i + 1 : i + 2, i + 1 :] - weights @ grid[:, i + 1 : n, i + 1 :]
+        row[:, :, 0] += 1.0
+        grid[:, i : i + 1, i + 1 :] = row / (1.0 + grams[:active, i : i + 1, i : i + 1])
+    grids[:, range(n + 1), range(n + 1)] = 1.0
+
+
+def _grids(grams: np.ndarray, sizes: Sequence[int], implicit: bool, grids: np.ndarray) -> np.ndarray:
+    """Solve the grids of a (count, n, n) stack of Grams into ``grids``, a
+    zeroed (count, n+1, n+1) stack, and return it.  ``sizes`` holds each
+    pair's n, largest first; pair k's Gram is ``_block(grams, k, sizes[k],
+    implicit)`` and the rest of its slot is zero.  Its grid is the block of
+    size sizes[k] + 1."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        (_implicit_stack if implicit else _explicit_stack)(grams, sizes, grids)
+    if not (np.isfinite(grams).all() and np.isfinite(grids).all()):
+        raise NumericError("the grid overflowed: an increment is too large")
+    return grids
 
 
 def explicit_grid(gram: np.ndarray) -> np.ndarray:
     """Left-point grid via one BLAS mat-vec per column."""
-    n = gram.shape[0]
-    size = n + 1
-    grid = np.eye(size)
-    for b in range(1, size):
-        weights = grid[1:b, b - 1] * gram[0 : b - 1, b - 1]
-        grid[0:b, b] = grid[0:b, b - 1] - grid[0:b, 0 : b - 1] @ weights
-    return grid
+    size = gram.shape[0] + 1
+    return _grids(gram[None], (size - 1,), False, np.zeros((1, size, size)))[0]
 
 
 def implicit_grid(gram: np.ndarray) -> np.ndarray:
     """Right-point grid via one BLAS vector-matrix product per row."""
-    n = gram.shape[0]
-    size = n + 1
-    # The diagonal stays 0 until the end, so each product sees only r < b;
-    # the row's first entry gets the K[i+1][i+1] = 1 it leaves out.
-    grid = np.zeros((size, size))
-    for i in range(n - 1, -1, -1):
-        weights = grid[i + 1, i + 2 :] * gram[i, i + 1 :]
-        row = grid[i + 1, i + 1 :] - weights @ grid[i + 1 : n, i + 1 :]
-        row[0] += 1.0
-        grid[i, i + 1 :] = row / (1.0 + gram[i, i])
-    np.fill_diagonal(grid, 1.0)
-    return grid
+    size = gram.shape[0] + 1
+    return _grids(gram[None], (size - 1,), True, np.zeros((1, size, size)))[0]

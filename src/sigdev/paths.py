@@ -230,9 +230,11 @@ def refine_to_variation(path: Path, max_variation: float) -> Partition:
         raise DomainError("max_variation must be positive")
     deltas = np.diff(path.points, axis=0)
     # a stack of (1, d) @ (d, 1) products takes the same dot product per
-    # segment as np.linalg.norm, so every norm keeps its last bit
-    norms = np.sqrt((deltas[:, None, :] @ deltas[:, :, None])[:, 0, 0])
-    splits = np.maximum(1.0, np.ceil(norms / max_variation))
+    # segment as np.linalg.norm, so every norm keeps its last bit; a norm
+    # that overflows asks for infinitely many knots, which the check reports
+    with np.errstate(over="ignore"):
+        norms = np.sqrt((deltas[:, None, :] @ deltas[:, :, None])[:, 0, 0])
+        splits = np.maximum(1.0, np.ceil(norms / max_variation))
     if splits.sum() >= 2.0**62:  # knot indices would wrap in int64
         raise ResourceLimitError(f"refining to max_variation {max_variation!r} needs too many knots")
     splits = splits.astype(np.int64)

@@ -229,14 +229,16 @@ def _develop(
     Raises ``NumericError`` when the product is not finite.  That is checked
     once, on the product, since a factor that overflows makes it so; only a
     factor whose alpha is infinite raises in ``_expm``, which cannot scale it.
+    numpy's overflow warnings are silenced, since these checks report it.
     """
     rows = [row for row in incs.deltas if np.any(row)]
     if not rows:
         return np.eye(n_dim, dtype=np.complex128)
-    words = _words(mats, unit / math.sqrt(n_dim), _word_degree(incs.dim, len(rows)))
-    z = _expm(_powers(words, rows[0]))
-    for c in rows[1:]:
-        z = z @ _expm(_powers(words, c))
+    with np.errstate(over="ignore", invalid="ignore"):
+        words = _words(mats, unit / math.sqrt(n_dim), _word_degree(incs.dim, len(rows)))
+        z = _expm(_powers(words, rows[0]))
+        for c in rows[1:]:
+            z = z @ _expm(_powers(words, c))
     if not np.isfinite(z).all():
         raise NumericError(f"the development overflowed at N = {n_dim}: an increment is too large")
     return z

@@ -85,11 +85,26 @@ class SolutionGrid:
         return float(self.values[0, -1])
 
 
-def _gram(incs: IncrementSequence) -> np.ndarray:
+def _pair_increments(
+    gamma: Path, sigma: Path, dyadic_order: int = 0, mesh: float | None = None
+) -> IncrementSequence:
+    """Increments of gamma * <-sigma on its own knots, refined per ``mesh``
+    (target per-interval 1-variation) when given, else per ``dyadic_order``."""
+    y = concat_reverse(gamma, sigma)
+    if mesh is not None:
+        partition = refine_to_variation(y, mesh)
+    else:
+        partition = dyadic_refine(Partition(y.times), dyadic_order)
+    return piecewise_constant_increments(y, partition)
+
+
+def _gram(incs: IncrementSequence, out: np.ndarray | None = None) -> np.ndarray:
+    """<D[p], D[q]> for every pair of increments, written into ``out`` when
+    given.  An entry that overflows is left to the grid solvers'
+    finiteness check, which reports it."""
     deltas = incs.deltas
-    if len(deltas) == 0:
-        return np.zeros((0, 0))
-    return deltas @ deltas.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.matmul(deltas, deltas.T, out=out)
 
 
 def solve_explicit(incs: IncrementSequence) -> SolutionGrid:
@@ -371,12 +386,46 @@ def k_sd(
         return series_kernel(gamma, sigma, tol).value
     if scheme not in ("explicit", "implicit"):
         raise DomainError(f"unknown scheme {scheme!r}; choose from explicit, implicit, series")
-    y = concat_reverse(gamma, sigma)
-    if mesh is not None:
-        partition = refine_to_variation(y, mesh)
-    else:
-        partition = dyadic_refine(Partition(y.times), dyadic_order)
-    incs = piecewise_constant_increments(y, partition)
+    incs = _pair_increments(gamma, sigma, dyadic_order, mesh)
     if scheme == "explicit":
         return solve_explicit(incs).final
     return solve_implicit(incs).final
+
+
+def grid_gram(paths_a: Sequence[Path], paths_b: Sequence[Path], scheme: str, mesh: float) -> np.ndarray:
+    """Schwinger-Dyson kernel k_sd(a_i, b_j, scheme, mesh=mesh) of every pair
+    by a grid scheme, ``explicit`` or ``implicit``.
+
+    Pairs are visited in the order of a column-by-column fill (with one
+    sample, or ``paths_b is paths_a``, only i <= j, mirrored), and their
+    grids are solved together in batches (:mod:`sigdev.backend`), each pair's
+    Gram written straight into its batch's stack, so only one batch's Grams
+    are alive at a time.  Every entry it solves equals its ``k_sd`` value
+    bit for bit.  Raises ``NumericError`` when a Gram or grid overflows.
+    """
+    if scheme not in ("explicit", "implicit"):
+        raise DomainError(f"unknown grid scheme {scheme!r}; choose from explicit, implicit")
+    _check_same_dim(paths_a, paths_b)
+    implicit = scheme == "implicit"
+    same = paths_b is paths_a
+
+    def prepared():
+        for j in range(len(paths_b)):
+            for i in range(j + 1 if same else len(paths_a)):
+                incs = _pair_increments(paths_a[i], paths_b[j], mesh=mesh)
+                yield len(incs) + 1, (i, j, incs)
+
+    values = np.empty((len(paths_a), len(paths_b)))
+    workspace = np.empty(2 * backend._BATCH_CELLS)
+    for batch in backend._batched(prepared()):
+        batch.sort(key=lambda pair: -len(pair[2]))  # stable: largest n first
+        sizes = [len(incs) for _, _, incs in batch]
+        grams, grids = backend._stacks(len(batch), sizes[0], workspace)
+        for k, (_, _, incs) in enumerate(batch):
+            _gram(incs, out=backend._block(grams, k, sizes[k], implicit))
+        backend._grids(grams, sizes, implicit, grids)
+        for k, (i, j, _) in enumerate(batch):
+            values[i, j] = backend._block(grids, k, sizes[k] + 1, implicit)[0, -1]
+            if same:
+                values[j, i] = values[i, j]
+    return values

@@ -37,6 +37,8 @@ from .paths import (
 from .randomdev import GUE, EnsembleConfig, rk_montecarlo, sample_matrices, unitary_development
 from .sdkernel import (
     exact_straight_line,
+    grid_gram,
+    k_sd,
     semicircle_charfn,
     series_gram,
     series_oracle,
@@ -216,6 +218,12 @@ def check_gram_matches_pairwise():
             assert abs(series[i, j] - direct) <= 1e-12, f"series Gram off by {abs(series[i, j] - direct):.2e}"
             direct = signature_kernel_truncated(a, b, level=6).value
             assert abs(signature[i, j] - direct) <= 1e-12, f"signature Gram off by {abs(signature[i, j] - direct):.2e}"
+    for scheme in ("explicit", "implicit"):
+        grid = grid_gram(paths, paths[::-1], scheme, 0.02)
+        for i, a in enumerate(paths):
+            for j, b in enumerate(paths[::-1]):
+                direct = k_sd(a, b, scheme, mesh=0.02)
+                assert grid[i, j] == direct, f"{scheme} Gram off by {abs(grid[i, j] - direct):.2e}"
 
 
 ALL_CHECKS = [

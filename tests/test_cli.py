@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -21,7 +22,7 @@ from sigdev import (
     write_path_csv,
     write_paths_jsonl,
 )
-from sigdev import sdkernel
+from sigdev import backend, sdkernel
 from sigdev.cli import build_parser, main
 from sigdev.mmd import KERNELS
 from sigdev.sdkernel import exact_straight_line
@@ -167,7 +168,7 @@ class TestConvergeCommand:
     @pytest.mark.parametrize("size, grids", [(1e50, []), (1e200, ["--lambda", ""])])
     def test_overflowing_development_exits_3(self, tmp_path, capsys, size, grids):
         # at 1e50 the grids pass and the development's squarings overflow;
-        # at 1e200 the grids fail (exit 2), so they are left out
+        # at 1e200 the grids fail first (exit 3 too), so they are left out
         a = write_line_csv(tmp_path, "big.csv", [size])
         assert main(["converge", a, "--matrix-dim", "4", "--mc-samples", "2"] + grids) == 3
         captured = capsys.readouterr()
@@ -186,6 +187,41 @@ class TestConvergeCommand:
             assert main(argv) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestOverflowExits3:
+    """Finite input whose Gram, grid, refinement or development overflows is
+    a numeric failure: exit 3, one error line, and no numpy warning."""
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        for size in (1e50, 1e100, 1e200):
+            write_line_csv(tmp_path, f"line{size:g}.csv", [size])
+            points = np.zeros((5, 1))
+            points[1::2] = size
+            write_paths_jsonl(["zigzag"], [Path(np.arange(5.0), points)], tmp_path / f"zigzag{size:g}.jsonl")
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["converge", "line1e+200.csv", "--matrix-dim", ""],
+            ["converge", "line1e+50.csv", "--matrix-dim", "4", "--mc-samples", "2"],
+            ["kernel", "line1e+200.csv", "line1e+200.csv", "--scheme", "explicit"],
+            ["kernel", "line1e+50.csv", "line1e+50.csv", "--scheme", "explicit"],
+            ["gram", "zigzag1e+200.jsonl", "--kernel", "sd_implicit"],
+            ["mmd", "zigzag1e+100.jsonl", "zigzag1e+100.jsonl", "--kernel", "sd_explicit", "--mesh", "1e300"],
+            ["mmd", "zigzag1e+200.jsonl", "zigzag1e+200.jsonl", "--kernel", "sd_explicit"],
+        ],
+    )
+    def test_exits_3_without_warnings(self, files, capsys, argv):
+        argv = [str(files / a) if a.endswith((".csv", ".jsonl")) else a for a in argv]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestSampleCommands:
@@ -272,8 +308,9 @@ class TestKernelNames:
 
 
 class TestSolversReachedThroughModule:
-    """Every grid route calls the solvers through the ``sdkernel`` module
-    attributes, so wrapping those attributes sees every solve."""
+    """Every one-pair grid route calls the solvers through the ``sdkernel``
+    module attributes, so wrapping those attributes sees every solve.  A
+    Gram solves its pairs in batches, through ``backend._grids``."""
 
     @pytest.fixture()
     def calls(self, monkeypatch):
@@ -292,10 +329,18 @@ class TestSolversReachedThroughModule:
         k_sd(line, line, "implicit", dyadic_order=1)
         assert calls == {"solve_explicit": 1, "solve_implicit": 1}
 
-    def test_gram(self, calls):
+    def test_gram_solves_its_pairs_in_one_batch(self, calls, monkeypatch):
+        batches = []
+
+        def recorded(grams, sizes, implicit, grids, _grids=backend._grids):
+            batches.append(len(sizes))
+            return _grids(grams, sizes, implicit, grids)
+
+        monkeypatch.setattr(backend, "_grids", recorded)
         sample = PathSample(tuple(Path([0.0, 1.0], [[0.0], [v]]) for v in (0.2, 0.3, 0.4)))
         gram(sample, None, "sd_explicit", KernelSpec(mesh=0.2))
-        assert calls == {"solve_explicit": 6}
+        assert batches == [6]
+        assert calls == {}
 
     def test_kernel_command(self, tmp_path, calls, capsys):
         a = write_line_csv(tmp_path, "l.csv", [0.5])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,14 @@ from sigdev import (
     DomainError,
     GramMatrix,
     KernelSpec,
+    NumericError,
     Path,
     PathSample,
     ResourceLimitError,
     concat_reverse,
     gen_fbm,
     gram,
+    grid_gram,
     k_sd,
     mmd2,
     scaled,
@@ -21,7 +25,7 @@ from sigdev import (
     truncated_signature,
     write_paths_jsonl,
 )
-from sigdev import sdkernel, signature
+from sigdev import backend, sdkernel, signature
 from sigdev.cli import main
 from sigdev.signature import MAX_FEATURE_ENTRIES, _check_feature_budget
 from helpers import make_piecewise_linear
@@ -243,6 +247,94 @@ class TestBatchedGrams:
             series_gram(a, b, 1e-6)
         with pytest.raises(DomainError):
             signature_gram(a, b, 4)
+
+
+class TestGridGrams:
+    """grid_gram, through gram, against k_sd pair by pair, bit for bit."""
+
+    @pytest.fixture()
+    def batches(self, monkeypatch):
+        sizes = []
+
+        def recorded(grams, batch_sizes, implicit, grids, _grids=backend._grids):
+            sizes.append(list(batch_sizes))
+            return _grids(grams, batch_sizes, implicit, grids)
+
+        monkeypatch.setattr(backend, "_grids", recorded)
+        return sizes
+
+    @staticmethod
+    def assert_equals_k_sd(sample_a, sample_b, mesh, batches=()):
+        """Check both grid Grams against k_sd; return the batches each solved."""
+        solved = {}
+        a = sample_a.paths
+        b = a if sample_b is None else sample_b.paths
+        for scheme in ("explicit", "implicit"):
+            start = len(batches)
+            values = gram(sample_a, sample_b, "sd_" + scheme, KernelSpec(mesh=mesh)).values
+            solved[scheme] = batches[start:]
+            # a one-sample Gram mirrors its upper triangle: the grid kernels
+            # are symmetric only up to rounding (right-point: to first order)
+            for i in range(len(a)):
+                for j in range(len(b)):
+                    g, s = (a[j], b[i]) if sample_b is None and i > j else (a[i], b[j])
+                    assert values[i, j] == k_sd(g, s, scheme, mesh=mesh)
+        return solved
+
+    def test_one_and_two_sample_grams(self):
+        a = PathSample(paths_of_variation((0.2, 0.5, 0.8), seed=160))
+        b = PathSample(paths_of_variation((0.3, 0.6), seed=170, segments=7))
+        self.assert_equals_k_sd(a, None, 0.1)
+        for left, right in ((a, b), (b, a)):
+            self.assert_equals_k_sd(left, right, 0.1)
+
+    def test_pairs_of_different_n_in_one_batch(self, batches):
+        a = PathSample(paths_of_variation((0.05, 0.4, 0.9), seed=180, segments=3))
+        b = PathSample(paths_of_variation((0.1, 0.7), seed=190, segments=8))
+        for (sizes,) in self.assert_equals_k_sd(a, b, 0.1, batches).values():
+            assert len(sizes) == 6 and len(set(sizes)) >= 4
+            assert sizes == sorted(sizes, reverse=True)
+
+    def test_one_point_paths(self, batches):
+        point = Path([0.0], [[0.3, -0.1]])
+        other = Path([2.0], [[1.0, 1.0]])
+        sample = PathSample((point, make_piecewise_linear(200, 4, 2, 0.5), other))
+        for (sizes,) in self.assert_equals_k_sd(sample, None, 0.1, batches).values():
+            assert sizes.count(0) == 3
+        values = gram(PathSample((point, other)), None, "sd_implicit", KernelSpec(mesh=0.1)).values
+        assert values.tolist() == [[1.0, 1.0], [1.0, 1.0]]
+
+    def test_sample_over_several_batches(self, batches):
+        sample = PathSample(paths_of_variation((0.5, 0.6, 0.7, 0.8, 0.9), seed=210))
+        for solved in self.assert_equals_k_sd(sample, None, 0.008, batches).values():
+            assert len(solved) >= 3
+            assert sum(map(len, solved)) == 15
+            for sizes in solved:
+                assert len(sizes) == 1 or len(sizes) * (sizes[0] + 1) ** 2 <= 2**16
+
+    def test_pair_past_the_budget(self, batches):
+        a = PathSample(paths_of_variation((0.8,), seed=220))
+        b = PathSample(paths_of_variation((0.1,), seed=230))
+        for (big, small) in self.assert_equals_k_sd(a, PathSample(a.paths + b.paths), 0.005, batches).values():
+            assert (big[0] + 1) ** 2 > 2**16 and len(big) == 1
+            assert len(small) == 1
+
+    def test_overflowing_grid_raises_numeric_error(self):
+        # increments of 1e100 square to a finite Gram, but the left-point grid overflows
+        points = np.zeros((5, 1))
+        points[1::2] = 1e100
+        sample = PathSample((Path(np.arange(5.0), points),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericError):
+                gram(sample, None, "sd_explicit", KernelSpec(mesh=1e300))
+            with pytest.raises(NumericError):
+                mmd2(sample, sample, "sd_explicit", KernelSpec(mesh=1e300))
+
+    def test_unknown_scheme(self):
+        paths = paths_of_variation((0.3,))
+        with pytest.raises(DomainError):
+            grid_gram(paths, paths, "series", 0.1)
 
 
 class TestMmd2:

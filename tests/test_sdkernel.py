@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -12,6 +13,7 @@ from sigdev import (
     DomainError,
     IncrementSequence,
     Partition,
+    NumericError,
     Path,
     ResourceLimitError,
     catalan,
@@ -176,6 +178,106 @@ def _cell_recurrence(gram):
             acc = sum(expected[i, k] * expected[k, b] * gram[k - 1, b - 1] for k in range(i + 1, b))
             expected[i, b] = (expected[i, b - 1] - acc) / (1.0 + gram[b - 1, b - 1])
     return expected
+
+
+def _column_loop(gram):
+    """Left-point grid one pair at a time, one mat-vec per column."""
+    size = len(gram) + 1
+    grid = np.eye(size)
+    for b in range(1, size):
+        weights = grid[1:b, b - 1] * gram[0 : b - 1, b - 1]
+        grid[0:b, b] = grid[0:b, b - 1] - grid[0:b, 0 : b - 1] @ weights
+    return grid
+
+
+def _row_loop(gram):
+    """Right-point grid one pair at a time, one vector-matrix product per row."""
+    n = len(gram)
+    grid = np.zeros((n + 1, n + 1))
+    for i in range(n - 1, -1, -1):
+        weights = grid[i + 1, i + 2 :] * gram[i, i + 1 :]
+        row = grid[i + 1, i + 1 :] - weights @ grid[i + 1 : n, i + 1 :]
+        row[0] += 1.0
+        grid[i, i + 1 :] = row / (1.0 + gram[i, i])
+    np.fill_diagonal(grid, 1.0)
+    return grid
+
+
+class TestBatchedGrids:
+    @pytest.mark.parametrize("n", [0, 1, 2, 17, 240])
+    def test_one_pair_equals_the_per_grid_loops(self, n):
+        deltas = np.random.default_rng(n).normal(size=(n, 2)) * 0.05
+        gram = deltas @ deltas.T
+        assert np.array_equal(backend.explicit_grid(gram), _column_loop(gram))
+        assert np.array_equal(backend.implicit_grid(gram), _row_loop(gram))
+
+    def test_stack_blocks_equal_the_per_grid_loops(self):
+        rng = np.random.default_rng(7)
+        sizes = [40, 33, 33, 9, 2, 1, 0]
+        grams = [d @ d.T for d in (rng.normal(size=(n, 3)) * 0.1 for n in sizes)]
+        workspace = np.full(2 * 41**2 * len(sizes), np.nan)  # a dirty workspace is zeroed
+        for implicit, loop in ((False, _column_loop), (True, _row_loop)):
+            stack, grids = backend._stacks(len(sizes), sizes[0], workspace)
+            for k, gram in enumerate(grams):
+                backend._block(stack, k, sizes[k], implicit)[...] = gram
+            backend._grids(stack, sizes, implicit, grids)
+            for k, gram in enumerate(grams):
+                assert np.array_equal(backend._block(grids, k, sizes[k] + 1, implicit), loop(gram))
+
+    def test_stacks_past_the_workspace_are_fresh(self):
+        workspace = np.zeros(10)
+        grams, grids = backend._stacks(2, 1, workspace)
+        assert grams.shape == (2, 1, 1) and grids.shape == (2, 2, 2)
+        assert np.shares_memory(grids, workspace)
+        grams, grids = backend._stacks(1, 3, workspace)
+        assert not np.shares_memory(grids, workspace) and not grids.any()
+
+    @staticmethod
+    def batch_sizes(sizes, cells=2**16):
+        return [[size for size, _ in batch] for batch in backend._batched(((s, (s, k)) for k, s in enumerate(sizes)), cells)]
+
+    def test_batches_keep_order_and_the_cell_budget(self):
+        sizes = [81, 80, 79, 81, 12, 200, 3, 256, 257, 1, 1, 90] + [81] * 20
+        batches = self.batch_sizes(sizes)
+        assert [s for batch in batches for s in batch] == sizes
+        for batch in batches:
+            assert len(batch) == 1 or len(batch) * max(batch) ** 2 <= 2**16
+        # each batch is closed only by a pair that would overflow it
+        for batch, after in zip(batches, batches[1:]):
+            assert (len(batch) + 1) * max(batch + after[:1]) ** 2 > 2**16
+        assert backend._BATCH_CELLS == 2**16
+
+    def test_a_grid_past_the_budget_is_batched_alone(self):
+        assert self.batch_sizes([3, 257, 2, 2]) == [[3], [257], [2, 2]]
+        assert self.batch_sizes([256, 1]) == [[256], [1]]
+        assert self.batch_sizes([128] * 5) == [[128] * 4, [128]]
+        assert self.batch_sizes([1] * 5, cells=2) == [[1, 1], [1, 1], [1]]
+        assert self.batch_sizes([]) == []
+
+    @pytest.mark.parametrize(
+        "solver, size, n",
+        # 1e200 overflows the Gram, whose one-step grids stay finite; 1e100
+        # overflows only the left-point grid
+        [
+            (solve_explicit, 1e100, 6),
+            (solve_explicit, 1e200, 6),
+            (solve_implicit, 1e200, 6),
+            (solve_explicit, 1e200, 1),
+            (solve_implicit, 1e200, 1),
+        ],
+    )
+    def test_overflow_is_a_numeric_error(self, solver, size, n):
+        deltas = np.zeros((n, 1))
+        deltas[::2], deltas[1::2] = size, -size
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericError):
+                solver(IncrementSequence(deltas))
+
+    def test_user_grid_that_is_not_finite_is_a_domain_error(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DomainError):
+                SolutionGrid(np.array([[1.0, bad], [0.0, 1.0]]))
 
 
 class TestGridInvariants:
