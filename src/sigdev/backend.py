@@ -125,6 +125,7 @@ def _explicit_stack(grams: np.ndarray, sizes: Sequence[int], grids: np.ndarray) 
 
 def _implicit_stack(grams: np.ndarray, sizes: Sequence[int], grids: np.ndarray) -> None:
     n = grams.shape[1]
+    divisors = 1.0 + np.diagonal(grams, axis1=1, axis2=2)  # 1 + gram[i, i], every row at once
     # The diagonal stays 0 until the end, so each product sees only r < b;
     # the row's first entry gets the K[i+1][i+1] = 1 it leaves out.
     active = len(sizes)
@@ -135,7 +136,7 @@ def _implicit_stack(grams: np.ndarray, sizes: Sequence[int], grids: np.ndarray) 
         weights = grid[:, i + 1 : i + 2, i + 2 :] * grams[:active, i : i + 1, i + 1 :]
         row = grid[:, i + 1 : i + 2, i + 1 :] - weights @ grid[:, i + 1 : n, i + 1 :]
         row[:, :, 0] += 1.0
-        grid[:, i : i + 1, i + 1 :] = row / (1.0 + grams[:active, i : i + 1, i : i + 1])
+        grid[:, i : i + 1, i + 1 :] = row / divisors[:active, i, None, None]
     grids[:, range(n + 1), range(n + 1)] = 1.0
 
 

@@ -25,12 +25,11 @@ from . import sdkernel
 from .errors import DomainError, NumericError, ResourceLimitError
 from .mmd import KERNELS, KernelSpec, PathSample, gram, mmd2, resolve_kernel
 from .paths import (
-    Partition,
+    IncrementSequence,
     Path,
-    dyadic_refine,
+    _refined_deltas,
     gen_fbm,
     one_variation,
-    piecewise_constant_increments,
     read_path_csv,
     read_paths_jsonl,
     scaled,
@@ -140,10 +139,8 @@ def cmd_converge(args) -> int:
     else:
         reference = series_oracle(path, tol=tol).value
     rows: list[list] = []
-    base = Partition(path.times)
     for lam in _parse_int_list(args.dyadic):
-        part = dyadic_refine(base, lam)
-        value = solver(piecewise_constant_increments(path, part)).final
+        value = solver(IncrementSequence(_refined_deltas(path, dyadic_order=lam))).final
         rows.append(["scheme", str(lam), value, reference, abs(value - reference), None])
     for n_dim in _parse_int_list(args.matrix_dim):
         cfg = EnsembleConfig(GUE, n_dim, args.mc_samples, args.seed, path.dim)

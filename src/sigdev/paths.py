@@ -219,16 +219,11 @@ def dyadic_refine(partition: Partition, order: int) -> Partition:
     return Partition(knots)
 
 
-def refine_to_variation(path: Path, max_variation: float) -> Partition:
-    """Partition of the path's knots refined until every subinterval carries
-    1-variation at most ``max_variation``.
-
-    Segment k is split into ``ceil(|D[k]| / max_variation)`` equal parts
-    (at least one), with knots ``a + (b - a) * j / splits``.
-    """
+def _variation_splits(deltas: np.ndarray, max_variation: float) -> np.ndarray:
+    """Parts of each segment, increment D[k], that carry 1-variation at most
+    ``max_variation``: ``ceil(|D[k]| / max_variation)``, at least one."""
     if not max_variation > 0:
         raise DomainError("max_variation must be positive")
-    deltas = np.diff(path.points, axis=0)
     # a stack of (1, d) @ (d, 1) products takes the same dot product per
     # segment as np.linalg.norm, so every norm keeps its last bit; a norm
     # that overflows asks for infinitely many knots, which the check reports
@@ -237,12 +232,53 @@ def refine_to_variation(path: Path, max_variation: float) -> Partition:
         splits = np.maximum(1.0, np.ceil(norms / max_variation))
     if splits.sum() >= 2.0**62:  # knot indices would wrap in int64
         raise ResourceLimitError(f"refining to max_variation {max_variation!r} needs too many knots")
-    splits = splits.astype(np.int64)
+    return splits.astype(np.int64)
+
+
+def refine_to_variation(path: Path, max_variation: float) -> Partition:
+    """Partition of the path's knots refined until every subinterval carries
+    1-variation at most ``max_variation``.
+
+    Segment k is split into ``ceil(|D[k]| / max_variation)`` equal parts
+    (at least one), with knots ``a + (b - a) * j / splits``.
+    """
+    splits = _variation_splits(np.diff(path.points, axis=0), max_variation)
     segment = np.repeat(np.arange(len(splits)), splits)
     steps = np.arange(1, len(segment) + 1) - np.repeat(np.cumsum(splits) - splits, splits)
     a, b = path.times[:-1][segment], path.times[1:][segment]
     knots = np.concatenate((path.times[:1], a + (b - a) * steps / splits[segment]))
     return Partition(knots)
+
+
+def _refined_deltas(path: Path, mesh: float | None = None, dyadic_order: int = 0) -> np.ndarray:
+    """Increments of the path's piecewise-constant approximation, refined
+    per ``mesh`` (target per-interval 1-variation) when given, else per
+    ``dyadic_order``: segment k, increment D[k], becomes s_k equal jumps
+    D[k] / s_k.  s_k is ``refine_to_variation``'s split count,
+    max(1, ceil(|D[k]| / mesh)), or 2**dyadic_order for every segment.
+
+    This is the refinement of ``refine_to_variation`` or ``dyadic_refine``
+    fed to ``piecewise_constant_increments``, up to rounding: it divides
+    each increment instead of interpolating at the knots, so no knot is
+    formed.  Division by a power of two is exact, so order λ + 1's jumps
+    are order λ's halved and each repeated twice, bit for bit.  Shape
+    (sum s_k, d); a one-point path has none.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        deltas = np.diff(path.points, axis=0)
+    if not np.isfinite(deltas).all():
+        raise DomainError("path increments must be finite")
+    if mesh is not None:
+        splits = _variation_splits(deltas, mesh)
+        return np.repeat(deltas / splits[:, None], splits, axis=0)
+    if dyadic_order < 0 or int(dyadic_order) != dyadic_order:
+        raise DomainError("dyadic order must be a nonnegative integer")
+    if len(deltas) == 0:
+        return deltas
+    if len(deltas) >= 2.0 ** (62 - dyadic_order):  # as refine_to_variation's knot check
+        raise ResourceLimitError(f"dyadic order {dyadic_order!r} needs too many knots")
+    splits = 2 ** int(dyadic_order)
+    return np.repeat(deltas / float(splits), splits, axis=0)
 
 
 def scaled(path: Path, factor: float) -> Path:

@@ -27,16 +27,7 @@ import numpy as np
 from . import backend
 from .errors import DomainError, ResourceLimitError
 from .freeprob import nc2_enumerate
-from .paths import (
-    IncrementSequence,
-    Partition,
-    Path,
-    concat_reverse,
-    dyadic_refine,
-    one_variation,
-    piecewise_constant_increments,
-    refine_to_variation,
-)
+from .paths import IncrementSequence, Path, _refined_deltas, one_variation
 from .signature import (
     _check_feature_budget,
     _check_same_dim,
@@ -85,24 +76,17 @@ class SolutionGrid:
         return float(self.values[0, -1])
 
 
-def _pair_increments(
-    gamma: Path, sigma: Path, dyadic_order: int = 0, mesh: float | None = None
-) -> IncrementSequence:
-    """Increments of gamma * <-sigma on its own knots, refined per ``mesh``
-    (target per-interval 1-variation) when given, else per ``dyadic_order``."""
-    y = concat_reverse(gamma, sigma)
-    if mesh is not None:
-        partition = refine_to_variation(y, mesh)
-    else:
-        partition = dyadic_refine(Partition(y.times), dyadic_order)
-    return piecewise_constant_increments(y, partition)
+def _reversed(deltas: np.ndarray) -> np.ndarray:
+    """Refined increments of the reversed path, from the path's own: flipped
+    and negated.  gamma * <-sigma has gamma's increments, then these of
+    sigma's."""
+    return -deltas[::-1]
 
 
-def _gram(incs: IncrementSequence, out: np.ndarray | None = None) -> np.ndarray:
+def _gram(deltas: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """<D[p], D[q]> for every pair of increments, written into ``out`` when
     given.  An entry that overflows is left to the grid solvers'
     finiteness check, which reports it."""
-    deltas = incs.deltas
     with np.errstate(over="ignore", invalid="ignore"):
         return np.matmul(deltas, deltas.T, out=out)
 
@@ -119,7 +103,7 @@ def solve_explicit(incs: IncrementSequence) -> SolutionGrid:
     just past the first jump of each pair.  Values depend only on the
     increments, never on the knot times, so the solvers take none.
     """
-    return SolutionGrid(backend.explicit_grid(_gram(incs)))
+    return SolutionGrid(backend.explicit_grid(_gram(incs.deltas)))
 
 
 def solve_implicit(incs: IncrementSequence) -> SolutionGrid:
@@ -145,7 +129,7 @@ def solve_implicit(incs: IncrementSequence) -> SolutionGrid:
     matrix gives that column from the rows already solved below it (see
     :mod:`sigdev.backend`).
     """
-    return SolutionGrid(backend.implicit_grid(_gram(incs)))
+    return SolutionGrid(backend.implicit_grid(_gram(incs.deltas)))
 
 
 def semicircle_charfn(x: float) -> float:
@@ -376,9 +360,11 @@ def k_sd(
     """Schwinger-Dyson kernel of two paths: the kernel of gamma followed by
     reversed sigma, evaluated at the full interval.
 
-    Grid schemes discretize the concatenation on its own knots refined per
-    ``mesh`` (target per-interval 1-variation) or ``dyadic_order``.  The
-    series scheme uses ``tol``.
+    Grid schemes discretize the concatenation: every segment of gamma and
+    of sigma is split into equal jumps per ``mesh`` (target per-interval
+    1-variation) or ``dyadic_order`` (``paths._refined_deltas``), and the
+    jumps of gamma * <-sigma are gamma's followed by sigma's, reversed and
+    negated.  The series scheme uses ``tol``.
     """
     if gamma.dim != sigma.dim:
         raise DomainError("paths must share dimension")
@@ -386,7 +372,9 @@ def k_sd(
         return series_kernel(gamma, sigma, tol).value
     if scheme not in ("explicit", "implicit"):
         raise DomainError(f"unknown scheme {scheme!r}; choose from explicit, implicit, series")
-    incs = _pair_increments(gamma, sigma, dyadic_order, mesh)
+    gamma_deltas = _refined_deltas(gamma, mesh, dyadic_order)
+    sigma_reversed = _reversed(_refined_deltas(sigma, mesh, dyadic_order))
+    incs = IncrementSequence(np.concatenate((gamma_deltas, sigma_reversed)))
     if scheme == "explicit":
         return solve_explicit(incs).final
     return solve_implicit(incs).final
@@ -396,33 +384,38 @@ def grid_gram(paths_a: Sequence[Path], paths_b: Sequence[Path], scheme: str, mes
     """Schwinger-Dyson kernel k_sd(a_i, b_j, scheme, mesh=mesh) of every pair
     by a grid scheme, ``explicit`` or ``implicit``.
 
-    Pairs are visited in the order of a column-by-column fill (with one
-    sample, or ``paths_b is paths_a``, only i <= j, mirrored), and their
-    grids are solved together in batches (:mod:`sigdev.backend`), each pair's
-    Gram written straight into its batch's stack, so only one batch's Grams
-    are alive at a time.  Every entry it solves equals its ``k_sd`` value
-    bit for bit.  Raises ``NumericError`` when a Gram or grid overflows.
+    Each path is refined once: a pair's increments join the refined
+    increments of a_i with the reversed ones of b_j, so no path of the
+    concatenation is formed.  Pairs are visited in the order of a
+    column-by-column fill (with one sample, or ``paths_b is paths_a``, only
+    i <= j, mirrored), and their grids are solved together in batches
+    (:mod:`sigdev.backend`), each pair's Gram written straight into its
+    batch's stack, so only one batch's Grams are alive at a time.  Every
+    entry it solves equals its ``k_sd`` value bit for bit.  Raises
+    ``NumericError`` when a Gram or grid overflows.
     """
     if scheme not in ("explicit", "implicit"):
         raise DomainError(f"unknown grid scheme {scheme!r}; choose from explicit, implicit")
     _check_same_dim(paths_a, paths_b)
     implicit = scheme == "implicit"
     same = paths_b is paths_a
+    rows = [_refined_deltas(p, mesh) for p in paths_a]
+    columns = [_reversed(d) for d in rows] if same else [_reversed(_refined_deltas(p, mesh)) for p in paths_b]
 
     def prepared():
         for j in range(len(paths_b)):
             for i in range(j + 1 if same else len(paths_a)):
-                incs = _pair_increments(paths_a[i], paths_b[j], mesh=mesh)
-                yield len(incs) + 1, (i, j, incs)
+                deltas = np.concatenate((rows[i], columns[j]))
+                yield len(deltas) + 1, (i, j, deltas)
 
     values = np.empty((len(paths_a), len(paths_b)))
     workspace = np.empty(2 * backend._BATCH_CELLS)
     for batch in backend._batched(prepared()):
         batch.sort(key=lambda pair: -len(pair[2]))  # stable: largest n first
-        sizes = [len(incs) for _, _, incs in batch]
+        sizes = [len(deltas) for _, _, deltas in batch]
         grams, grids = backend._stacks(len(batch), sizes[0], workspace)
-        for k, (_, _, incs) in enumerate(batch):
-            _gram(incs, out=backend._block(grams, k, sizes[k], implicit))
+        for k, (_, _, deltas) in enumerate(batch):
+            _gram(deltas, out=backend._block(grams, k, sizes[k], implicit))
         backend._grids(grams, sizes, implicit, grids)
         for k, (i, j, _) in enumerate(batch):
             values[i, j] = backend._block(grids, k, sizes[k] + 1, implicit)[0, -1]

@@ -32,6 +32,7 @@ from .paths import (
     gen_fbm,
     one_variation,
     piecewise_constant_increments,
+    refine_to_variation,
     scaled,
 )
 from .randomdev import GUE, EnsembleConfig, rk_montecarlo, sample_matrices, unitary_development
@@ -218,12 +219,18 @@ def check_gram_matches_pairwise():
             assert abs(series[i, j] - direct) <= 1e-12, f"series Gram off by {abs(series[i, j] - direct):.2e}"
             direct = signature_kernel_truncated(a, b, level=6).value
             assert abs(signature[i, j] - direct) <= 1e-12, f"signature Gram off by {abs(signature[i, j] - direct):.2e}"
-    for scheme in ("explicit", "implicit"):
+    # the grid kernels share their discretisation with k_sd, so each entry is
+    # also checked against the concatenated path gamma * <-sigma, refined and
+    # interpolated on its own knots
+    for scheme, solver in (("explicit", solve_explicit), ("implicit", solve_implicit)):
         grid = grid_gram(paths, paths[::-1], scheme, 0.02)
         for i, a in enumerate(paths):
             for j, b in enumerate(paths[::-1]):
                 direct = k_sd(a, b, scheme, mesh=0.02)
                 assert grid[i, j] == direct, f"{scheme} Gram off by {abs(grid[i, j] - direct):.2e}"
+                y = concat_reverse(a, b)
+                joined = solver(piecewise_constant_increments(y, refine_to_variation(y, 0.02))).final
+                assert abs(grid[i, j] - joined) <= 1e-13, f"{scheme} Gram off the concatenation by {abs(grid[i, j] - joined):.2e}"
 
 
 ALL_CHECKS = [

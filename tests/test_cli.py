@@ -224,6 +224,31 @@ class TestOverflowExits3:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+class TestOverflowingSegmentExits2:
+    """A segment between finite points whose difference overflows (±1e308)
+    is bad input, as when the grid route formed the path gamma * <-sigma:
+    exit 2, one error line, and no numpy warning."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gram", "wide.jsonl", "--kernel", "sd_explicit"],
+            ["kernel", "wide.csv", "wide.csv", "--scheme", "explicit"],
+        ],
+    )
+    def test_exits_2_without_warnings(self, tmp_path, capsys, argv):
+        wide = Path([0.0, 1.0], [[1e308], [-1e308]])
+        write_path_csv(wide, tmp_path / "wide.csv")
+        write_paths_jsonl(["wide"], [wide], tmp_path / "wide.jsonl")
+        argv = [str(tmp_path / a) if a.startswith("wide.") else a for a in argv]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 class TestSampleCommands:
     @pytest.fixture()
     def jsonl_pair(self, tmp_path):

@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from sigdev import (
     write_path_csv,
     write_paths_jsonl,
 )
+from sigdev.paths import _refined_deltas
 from helpers import make_piecewise_linear
 
 
@@ -228,6 +230,90 @@ class TestRefineToVariation:
         for norm in np.linalg.norm(np.diff(path.points, axis=0), axis=1):
             for mesh in (norm, np.nextafter(norm, 0.0)):
                 assert np.all(refine_to_variation(path, mesh).knots == loop_knots(path, mesh))
+
+
+class TestRefinedDeltas:
+    """_refined_deltas: each segment's increment divided into equal jumps."""
+
+    @staticmethod
+    def paths():
+        rng = np.random.default_rng(31)
+        out = [make_piecewise_linear(seed, 7, 2, 1.3) for seed in (1, 2)]
+        out.append(Path(np.cumsum(rng.uniform(0.1, 1.0, 12)), rng.normal(size=(12, 3))))
+        # a zero-length segment, and one whose variation is exactly 3 meshes
+        out.append(Path([0.0, 0.25, 1.0, 2.0], [[0.0, 0.0], [0.0, 0.0], [0.3, 0.4], [0.0, 0.0]]))
+        return out
+
+    @pytest.mark.parametrize("mesh", [0.5 / 3, 0.02, 0.1, 10.0])
+    def test_counts_equal_refine_to_variation_per_segment(self, mesh):
+        for path in self.paths():
+            knots = refine_to_variation(path, mesh).knots
+            # knots in (t[k], t[k+1]]: segment k's parts
+            splits = np.diff(np.searchsorted(knots, path.times, side="right"))
+            deltas = np.diff(path.points, axis=0)
+            expected = np.repeat(deltas / splits[:, None], splits, axis=0)
+            assert np.array_equal(_refined_deltas(path, mesh), expected)
+
+    @pytest.mark.parametrize("mesh", [0.02, 0.1])
+    def test_equals_interpolated_increments_to_rounding(self, mesh):
+        # interpolation at the knots rounds at the scale of the points
+        for path in self.paths():
+            tol = 1e-14 * np.abs(path.points).max(initial=1.0)
+            old = piecewise_constant_increments(path, refine_to_variation(path, mesh)).deltas
+            assert np.abs(_refined_deltas(path, mesh) - old).max() <= tol
+            for order in range(5):
+                old = piecewise_constant_increments(path, dyadic_refine(Partition(path.times), order)).deltas
+                assert np.abs(_refined_deltas(path, dyadic_order=order) - old).max() <= tol
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from([0.01, 0.07, 0.3]), st.integers(0, 6))
+    def test_sum_equals_displacement(self, seed, mesh, order):
+        p = make_piecewise_linear(seed, 6, 2, 1.5)
+        for deltas in (_refined_deltas(p, mesh), _refined_deltas(p, dyadic_order=order)):
+            assert np.abs(deltas.sum(axis=0) - p.displacement).max() <= 1e-13
+
+    def test_next_order_is_this_order_halved_and_repeated(self):
+        for path in self.paths():
+            deltas = _refined_deltas(path, dyadic_order=0)
+            assert np.array_equal(deltas, np.diff(path.points, axis=0))
+            for order in range(1, 8):
+                halved = np.repeat(deltas / 2.0, 2, axis=0)
+                deltas = _refined_deltas(path, dyadic_order=order)
+                assert np.array_equal(deltas, halved)
+
+    def test_one_point_and_zero_length_segments(self):
+        point = Path([0.5], [[1.0, 2.0]])
+        for deltas in (_refined_deltas(point, 0.1), _refined_deltas(point, dyadic_order=3)):
+            assert deltas.shape == (0, 2)
+        still = Path([0.0, 1.0, 2.0], [[1.0], [1.0], [3.0]])
+        assert _refined_deltas(still, 0.5).tolist() == [[0.0], [0.5], [0.5], [0.5], [0.5]]
+        assert _refined_deltas(still, dyadic_order=1).tolist() == [[0.0], [0.0], [1.0], [1.0]]
+
+    def test_bad_mesh_or_order(self):
+        for mesh in (0.0, -1.0, float("nan")):
+            with pytest.raises(DomainError):
+                _refined_deltas(line([1.0]), mesh)
+        for order in (-1, 0.5):
+            with pytest.raises(DomainError):
+                _refined_deltas(line([1.0]), dyadic_order=order)
+
+    def test_too_many_parts_is_a_resource_error(self):
+        # the 2^62 knot check of refine_to_variation, applied to one path
+        with pytest.raises(ResourceLimitError):
+            _refined_deltas(line([1.0]), 1e-300)
+        with pytest.raises(ResourceLimitError):
+            _refined_deltas(line([1.0]), dyadic_order=62)
+        with pytest.raises(ResourceLimitError):
+            _refined_deltas(line([1.0]), dyadic_order=10**9)
+        assert _refined_deltas(Path([0.0], [[1.0]]), dyadic_order=10**9).shape == (0, 1)
+
+    def test_overflowing_difference_is_a_domain_error(self):
+        path = Path([0.0, 1.0], [[1e308], [-1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for kwargs in ({"mesh": 0.1}, {"dyadic_order": 2}):
+                with pytest.raises(DomainError):
+                    _refined_deltas(path, **kwargs)
 
 
 class TestGenFbm:

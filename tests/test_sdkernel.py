@@ -20,11 +20,13 @@ from sigdev import (
     concat_reverse,
     dyadic_refine,
     exact_straight_line,
+    grid_gram,
     iterated_sums_signature,
     k_sd,
     nc2_enumerate,
     one_variation,
     piecewise_constant_increments,
+    refine_to_variation,
     semicircle_charfn,
     semicircular_moment_fast,
     series_oracle,
@@ -32,7 +34,7 @@ from sigdev import (
     solve_explicit,
     solve_implicit,
 )
-from sigdev import backend, sdkernel
+from sigdev import backend, paths, sdkernel
 from sigdev.sdkernel import SolutionGrid
 from helpers import make_piecewise_linear
 
@@ -434,6 +436,63 @@ class TestKsd:
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
             k_sd(line([1.0]), line([1.0, 0.0]))
+
+
+def concatenation_route(gamma, sigma, scheme, mesh=None, dyadic_order=0):
+    """The grid value through the path gamma * <-sigma: its knots refined,
+    then interpolated, as the grid kernels computed it before each path's
+    increments were divided in place."""
+    y = concat_reverse(gamma, sigma)
+    if mesh is not None:
+        partition = refine_to_variation(y, mesh)
+    else:
+        partition = dyadic_refine(Partition(y.times), dyadic_order)
+    solver = solve_explicit if scheme == "explicit" else solve_implicit
+    return solver(piecewise_constant_increments(y, partition)).final
+
+
+class TestRefinedOnce:
+    """Grid kernels join per-path refined increments."""
+
+    PATHS = tuple(make_piecewise_linear(seed, 6, 2, v) for seed, v in ((40, 0.4), (41, 0.9), (42, 0.65)))
+
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    def test_values_match_the_concatenation_route(self, scheme):
+        for gamma in self.PATHS:
+            for sigma in self.PATHS:
+                for mesh in (0.02, 0.1):
+                    got = k_sd(gamma, sigma, scheme, mesh=mesh)
+                    assert abs(got - concatenation_route(gamma, sigma, scheme, mesh=mesh)) <= 1e-13
+                for order in (0, 2, 4):
+                    got = k_sd(gamma, sigma, scheme, dyadic_order=order)
+                    assert abs(got - concatenation_route(gamma, sigma, scheme, dyadic_order=order)) <= 1e-13
+            values = grid_gram(self.PATHS, self.PATHS[::-1], scheme, 0.05)
+            for i, a in enumerate(self.PATHS):
+                for j, b in enumerate(self.PATHS[::-1]):
+                    assert abs(values[i, j] - concatenation_route(a, b, scheme, mesh=0.05)) <= 1e-13
+
+    @pytest.mark.parametrize("two_samples", [False, True])
+    def test_gram_refines_each_path_once_and_builds_no_path(self, monkeypatch, two_samples):
+        refined, built = [], []
+
+        def counted_refine(path, *args):
+            refined.append(path)
+            return paths._refined_deltas(path, *args)
+
+        monkeypatch.setattr(sdkernel, "_refined_deltas", counted_refine)
+        for cls in (paths.Path, paths.Partition, paths.IncrementSequence):
+            def counted_init(self, _init=cls.__post_init__):
+                built.append(type(self).__name__)
+                _init(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted_init)
+        rows = self.PATHS
+        columns = self.PATHS[:2] if two_samples else rows
+        grid_gram(rows, columns, "implicit", 0.05)
+        assert built == []
+        assert refined == list(rows) + (list(columns) if two_samples else [])
+        k_sd(rows[0], columns[0], "implicit", mesh=0.05)  # the probe sees the one-pair route
+        assert built == ["IncrementSequence"]
 
 
 @settings(max_examples=15, deadline=None)
