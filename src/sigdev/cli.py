@@ -15,11 +15,15 @@ exits 1 when an invariant fails).
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import fields
+
+import numpy as np
 
 from . import sdkernel
 from .errors import DomainError, NumericError, ResourceLimitError
@@ -27,6 +31,7 @@ from .mmd import KERNELS, KernelSpec, PathSample, gram, mmd2, resolve_kernel
 from .paths import (
     IncrementSequence,
     Path,
+    _finite_deltas,
     _refined_deltas,
     gen_fbm,
     one_variation,
@@ -134,8 +139,13 @@ def cmd_converge(args) -> int:
     solver = sdkernel.solve_explicit if scheme == "sd_explicit" else sdkernel.solve_implicit
     path = _load_converge_path(args)
     tol = args.tol if args.tol is not None else 1e-8
+    _finite_deltas(path)  # refuse an overflowing segment before any route runs
     if path.dim == 1:
-        reference = semicircle_charfn(abs(float(path.displacement[0])))
+        with np.errstate(over="ignore"):
+            displacement = abs(float(path.displacement[0]))
+        if not math.isfinite(displacement):
+            raise NumericError("the path's displacement overflows")
+        reference = semicircle_charfn(displacement)
     else:
         reference = series_oracle(path, tol=tol).value
     rows: list[list] = []
@@ -350,10 +360,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: ``_EnvParser`` reads the environment
+    at parse time, so a cached parser still sees every ``SIGDEV_*`` change."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -250,6 +250,16 @@ def refine_to_variation(path: Path, max_variation: float) -> Partition:
     return Partition(knots)
 
 
+def _finite_deltas(path: Path) -> np.ndarray:
+    """The path's segment increments, (n - 1, d); a segment between finite
+    points whose difference overflows is refused without a numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        deltas = np.diff(path.points, axis=0)
+    if not np.isfinite(deltas).all():
+        raise DomainError("path increments must be finite")
+    return deltas
+
+
 def _refined_deltas(path: Path, mesh: float | None = None, dyadic_order: int = 0) -> np.ndarray:
     """Increments of the path's piecewise-constant approximation, refined
     per ``mesh`` (target per-interval 1-variation) when given, else per
@@ -264,10 +274,7 @@ def _refined_deltas(path: Path, mesh: float | None = None, dyadic_order: int = 0
     are order λ's halved and each repeated twice, bit for bit.  Shape
     (sum s_k, d); a one-point path has none.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        deltas = np.diff(path.points, axis=0)
-    if not np.isfinite(deltas).all():
-        raise DomainError("path increments must be finite")
+    deltas = _finite_deltas(path)
     if mesh is not None:
         splits = _variation_splits(deltas, mesh)
         return np.repeat(deltas / splits[:, None], splits, axis=0)

@@ -66,29 +66,54 @@ def _identity_levels(dim: int, level: int) -> list[np.ndarray]:
     return [np.ones(1)] + [np.zeros(dim**m) for m in range(1, level + 1)]
 
 
-def _multiply_segment_exp(levels: list[np.ndarray], inc: np.ndarray, level: int, buffers) -> None:
+def _multiply_segment_exp(levels: list[np.ndarray], inc: np.ndarray, buffers, divisors: np.ndarray) -> None:
     """levels <- levels (x) exp(inc), in place, for a batch of P paths:
-    ``levels[m]`` is (P, d^m) and ``inc`` is (P, d), one increment per path.
+    ``levels[m]`` is (P, d^m) for m = 0..L and ``inc`` is (P, d), one
+    increment per path.
 
     Level m of the product is sum_k S^k (x) inc^(m-k) / (m-k)!, evaluated
     Horner-style as (((inc/m + S^1) (x) inc/(m-1) + S^2) (x) ...) (x) inc
-    (Kidger & Lyons, Signatory).  Levels are updated from the top down, so
-    the lower levels read along the way still hold the old signature.
-    Every step is elementwise, so each path's coefficients do not depend on
-    the others in its batch.  ``buffers`` is a pair of scratch arrays of
-    P * d^level entries each.
+    (Kidger & Lyons, Signatory): one chain of steps per level m.  The L
+    chains do not depend on each other, so they advance in lockstep, one
+    step per word length k.  Before step k the running accumulators of
+    chains m = k+1..L form one (P, L-k, d^k) stack; the step adds S^k to
+    all of them, multiplies by each letter of ``inc`` into the strided
+    view of that letter, and divides chain m by m - k.  Chain k finished at
+    step k-1; it is added into level k right after step k has read level
+    k, so every read still sees the old signature.  Each coefficient thus
+    goes through the same IEEE operations in the same order as when the
+    chains run one level at a time, and the result is the same bit for
+    bit.  Every step is elementwise, so each path's coefficients do not
+    depend on the others in its batch.
+
+    ``buffers`` is a pair of scratch arrays of P * _scratch_entries(d, L)
+    entries each: the stack of accumulators and the sums S^k + stack.
+    ``divisors`` is the column (1, 2, .., L) as floats.
     """
+    level = len(levels) - 1
+    if level == 0:
+        return
     paths, dim = inc.shape
     acc_buf, sum_buf = buffers
-    for m in range(level, 0, -1):
-        acc = np.divide(inc, m, out=acc_buf[: paths * dim].reshape(paths, dim))
-        for k in range(1, m):
-            size = dim**k
-            total = np.add(levels[k], acc, out=sum_buf[: paths * size].reshape(paths, size))
-            acc = acc_buf[: paths * size * dim].reshape(paths, size * dim)
-            np.multiply(total[:, :, None], inc[:, None, :], out=acc.reshape(paths, size, dim))
-            acc /= m - k
-        levels[m] += acc
+    acc = np.divide(inc[:, None, :], divisors, out=acc_buf[: paths * level * dim].reshape(paths, level, dim))
+    for k in range(1, level):
+        chains, size = level - k, dim**k
+        total = sum_buf[: paths * chains * size].reshape(paths, chains, size)
+        np.add(levels[k][:, None, :], acc[:, 1:], out=total)
+        levels[k] += acc[:, 0]
+        acc = acc_buf[: paths * chains * size * dim].reshape(paths, chains, size, dim)
+        for letter in range(dim):
+            np.multiply(total, inc[:, None, None, letter], out=acc[..., letter])
+        acc = acc.reshape(paths, chains, size * dim)
+        acc /= divisors[:chains]
+    levels[level] += acc[:, 0]
+
+
+def _scratch_entries(dim: int, level: int) -> int:
+    """Entries per path of each scratch buffer of ``_multiply_segment_exp``:
+    the largest stack of accumulators, max_k (L-k) d^(k+1) over k < L.
+    That is d^L for d >= 2, and L for d = 1."""
+    return max(((level - k) * dim ** (k + 1) for k in range(level)), default=0)
 
 
 def _level_views(features: np.ndarray, dim: int, level: int) -> list[np.ndarray]:
@@ -99,14 +124,21 @@ def _level_views(features: np.ndarray, dim: int, level: int) -> list[np.ndarray]
 
 def _sign_batch(incs: np.ndarray, level: int) -> np.ndarray:
     """Signatures of P paths with n nonzero increments each, ``incs`` of
-    shape (P, n, d): row p holds levels 0..level of path p, concatenated."""
+    shape (P, n, d): row p holds levels 0..level of path p, concatenated.
+
+    Segments are multiplied in left to right, each by one lockstep pass of
+    the Horner chains of all levels (``_multiply_segment_exp``).  That pass
+    rounds each coefficient exactly as a chain-per-level loop does, so the
+    signatures equal that loop's bit for bit whatever the batch size."""
     paths, count, dim = incs.shape
     features = np.zeros((paths, sum(dim**m for m in range(level + 1))))
     features[:, 0] = 1.0
     levels = _level_views(features, dim, level)
-    buffers = (np.empty(paths * dim**level), np.empty(paths * dim**level))
+    scratch = paths * _scratch_entries(dim, level)
+    buffers = (np.empty(scratch), np.empty(scratch))
+    divisors = np.arange(1.0, level + 1)[:, None]
     for k in range(count):
-        _multiply_segment_exp(levels, incs[:, k], level, buffers)
+        _multiply_segment_exp(levels, incs[:, k], buffers, divisors)
     return features
 
 
@@ -136,7 +168,7 @@ def _sign_paths(paths: Sequence[Path], levels: Sequence[int]) -> list[np.ndarray
     signed: list = [None] * len(paths)
     for (level, _), members in groups.items():
         _check_storage(dim, level)
-        chunk = MAX_TENSOR_ENTRIES // dim**level
+        chunk = max(1, MAX_TENSOR_ENTRIES // max(1, _scratch_entries(dim, level)))
         for start in range(0, len(members), chunk):
             part = members[start : start + chunk]
             batch = _sign_batch(np.stack([incs[i] for i in part]), level)

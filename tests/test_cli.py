@@ -22,7 +22,7 @@ from sigdev import (
     write_path_csv,
     write_paths_jsonl,
 )
-from sigdev import backend, sdkernel
+from sigdev import backend, cli, sdkernel
 from sigdev.cli import build_parser, main
 from sigdev.mmd import KERNELS
 from sigdev.sdkernel import exact_straight_line
@@ -219,6 +219,24 @@ class TestOverflowExits3:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+class TestConvergeOverflowingDisplacement:
+    """``converge`` refuses a path whose segment (exit 2) or displacement
+    (exit 3) overflows before any route or its reference runs: one error
+    line and no numpy warning."""
+
+    @pytest.mark.parametrize("points,code", [([1e308, -1e308], 2), ([-1e308, 0.0, 1e308], 3)])
+    @pytest.mark.parametrize("rest", [[], ["--lambda", "", "--matrix-dim", "4", "--mc-samples", "2"]])
+    def test_refused_without_warnings(self, tmp_path, capsys, points, code, rest):
+        wide = Path(np.arange(len(points), dtype=float), np.array(points)[:, None])
+        write_path_csv(wide, tmp_path / "wide.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["converge", str(tmp_path / "wide.csv"), *rest]) == code
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
@@ -544,6 +562,33 @@ class TestEnvOverrides:
         out2 = tmp_path / "b.csv"
         assert main(["genfbm", "--points", "6", "--seed", "9", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_one_parser_sees_each_variable_change(self, tmp_path, monkeypatch):
+        built = []
+
+        def counted(_build=cli.build_parser):
+            built.append(1)
+            return _build()
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", counted)
+
+        def genfbm(*flags):
+            out = tmp_path / "f.csv"
+            assert main(["genfbm", "--points", "6", *flags, "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        try:
+            monkeypatch.setenv("SIGDEV_SEED", "5")
+            env5 = genfbm()
+            monkeypatch.setenv("SIGDEV_SEED", "7")
+            env7 = genfbm()
+            flag5 = genfbm("--seed", "5")
+            monkeypatch.delenv("SIGDEV_SEED")
+            assert env7 == genfbm("--seed", "7") != env5 == flag5
+            assert built == [1]
+        finally:
+            cli._parser.cache_clear()
 
     def test_bad_env_value_rejected(self, monkeypatch, capsys):
         monkeypatch.setenv("SIGDEV_SEED", "not-a-number")

@@ -273,10 +273,54 @@ class TestBatchedSigning:
         assert batches == [2, 2, 1]
         for got, want in zip(batched, expected, strict=True):
             assert same_bits(got, want)
+        # in one dimension the scratch is the stack of L accumulators of one
+        # coefficient each, not d^L = 1 entry
+        lines = [make_piecewise_linear(245 + k, 4, 1, 0.9) for k in range(5)]
+        expected = per_path_features(lines, 6)
+        batches.clear()
+        monkeypatch.setattr(signature, "MAX_TENSOR_ENTRIES", 2 * 6)
+        batched = _sign_paths(lines, [6] * 5)
+        assert batches == [2, 2, 1]
+        for got, want in zip(batched, expected, strict=True):
+            assert same_bits(got, want)
 
     def test_tensor_cap_still_refuses_a_level(self):
         with pytest.raises(ResourceLimitError):
             _sign_paths([make_piecewise_linear(250, 3, 10, 1.0)], [8])
+
+
+def per_level_horner(incs, level):
+    """Reference for ``_sign_batch``: the Horner chain of each level run to
+    its end before the next, top level first, one segment at a time."""
+    paths, count, dim = incs.shape
+    features = np.zeros((paths, sum(dim**m for m in range(level + 1))))
+    features[:, 0] = 1.0
+    levels = np.split(features, np.cumsum([dim**m for m in range(level)]), axis=-1)
+    for inc in incs.transpose(1, 0, 2):
+        for m in range(level, 0, -1):
+            acc = np.divide(inc, m)
+            for k in range(1, m):
+                total = levels[k] + acc
+                acc = (total[:, :, None] * inc[:, None, :]).reshape(paths, -1)
+                acc /= m - k
+            levels[m] += acc
+    return features
+
+
+@pytest.mark.parametrize(
+    "dim,level", [(d, L) for d in (1, 2, 3, 5) for L in (0, 1, 2, 7, 12) if d**L <= 10**5]
+)
+def test_lockstep_signing_matches_per_level_horner(dim, level):
+    """The chains of all levels advance in lockstep and must round exactly as
+    the per-level loop does, -0.0 products included."""
+    rng = np.random.default_rng(1000 * dim + level)
+    for paths in (1, 3, 8):
+        for count in (0, 1, 15):
+            incs = rng.normal(size=(paths, count, dim))
+            incs[rng.random(incs.shape) < 0.2] = 0.0
+            incs[rng.random(incs.shape) < 0.1] = -0.0
+            got = signature._sign_batch(incs, level)
+            assert same_bits(got, per_level_horner(incs, level)), (paths, count)
 
 
 class TestSignatureKernel:
