@@ -22,6 +22,7 @@ import math
 import os
 import sys
 from dataclasses import fields
+from typing import Sequence
 
 import numpy as np
 
@@ -68,15 +69,22 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_int_list(text: str) -> list[int]:
-    """Accept '3', '1,2,5' or '0..6' (inclusive range)."""
+def _parse_int_list(text: str) -> Sequence[int]:
+    """Accept '3', '1,2,5' or '0..6' (inclusive, ascending range); '' is
+    the empty list.  The argparse type of ``converge``'s list flags, so a
+    bad value exits 2 with one error line, from the flag or its variable."""
     text = text.strip()
     if not text:
         return []
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+    try:
+        if ".." in text:
+            lo, hi = (int(end) for end in text.split("..", 1))
+            if lo > hi:
+                raise argparse.ArgumentTypeError(f"range {text!r} is empty: its start is past its end")
+            return range(lo, hi + 1)
+        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected integers such as '3', '1,2,5' or '0..6', not {text!r}") from None
 
 
 def _kernel_spec(args) -> KernelSpec:
@@ -149,10 +157,10 @@ def cmd_converge(args) -> int:
     else:
         reference = series_oracle(path, tol=tol).value
     rows: list[list] = []
-    for lam in _parse_int_list(args.dyadic):
+    for lam in args.dyadic:
         value = solver(IncrementSequence(_refined_deltas(path, dyadic_order=lam))).final
         rows.append(["scheme", str(lam), value, reference, abs(value - reference), None])
-    for n_dim in _parse_int_list(args.matrix_dim):
+    for n_dim in args.matrix_dim:
         cfg = EnsembleConfig(GUE, n_dim, args.mc_samples, args.seed, path.dim)
         est = rk_montecarlo(path, cfg)
         rows.append(
@@ -310,9 +318,14 @@ def build_parser() -> argparse.ArgumentParser:
         default="implicit",
         help="grid scheme: " + " | ".join(_GRID_KERNELS) + " (or without sd_)",
     )
-    p.add_argument("--lambda", dest="dyadic", default="0..6", help="dyadic orders, e.g. '0..6' or '0,2,4'")
     p.add_argument(
-        "--matrix-dim", default="10,50,200", help="matrix dimensions for the Monte-Carlo rows ('' disables)"
+        "--lambda", dest="dyadic", type=_parse_int_list, default="0..6", help="dyadic orders, e.g. '0..6' or '0,2,4'"
+    )
+    p.add_argument(
+        "--matrix-dim",
+        type=_parse_int_list,
+        default="10,50,200",
+        help="matrix dimensions for the Monte-Carlo rows ('' disables)",
     )
     p.add_argument("--mc-samples", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)

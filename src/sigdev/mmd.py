@@ -99,11 +99,11 @@ def gram(
 
     The series and signature kernels sign each path once and contract the
     signatures pair by pair (``series_gram``, ``signature_gram``); the grid
-    kernels solve the grids of many pairs together, one stacked product per
-    grid column or row (``grid_gram``).  Every entry equals its single-pair
-    kernel value bit for bit.  With a single sample (or
-    ``sample_b is sample_a``) only the upper triangle is evaluated and then
-    mirrored, so the matrix is exactly symmetric.
+    kernels solve each path's own grid once and each pair's rectangle
+    between two own grids, many pairs together (``grid_gram``).  Every
+    entry equals its single-pair kernel value bit for bit.  With a single
+    sample (or ``sample_b is sample_a``) only the upper triangle is
+    evaluated and then mirrored, so the matrix is exactly symmetric.
     """
     if kernel not in KERNELS:
         raise DomainError(f"unknown kernel {kernel!r}; choose from {', '.join(KERNELS)}")

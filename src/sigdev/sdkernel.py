@@ -83,15 +83,14 @@ def _reversed(deltas: np.ndarray) -> np.ndarray:
     return -deltas[::-1]
 
 
-def _gram(deltas: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """<D[p], D[q]> for every pair of increments, written into ``out`` when
-    given.  An entry that overflows is left to the grid solvers'
-    finiteness check, which reports it."""
+def _gram(deltas: np.ndarray) -> np.ndarray:
+    """<D[p], D[q]> for every pair of increments.  An entry that overflows
+    is left to the grid solvers' finiteness check, which reports it."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.matmul(deltas, deltas.T, out=out)
+        return np.matmul(deltas, deltas.T)
 
 
-def solve_explicit(incs: IncrementSequence) -> SolutionGrid:
+def solve_explicit(incs: IncrementSequence, split: int = 0) -> SolutionGrid:
     """Left-point grid scheme.
 
     Column by column,
@@ -102,11 +101,19 @@ def solve_explicit(incs: IncrementSequence) -> SolutionGrid:
     the one-step form of the double-sum expansion whose inner window opens
     just past the first jump of each pair.  Values depend only on the
     increments, never on the knot times, so the solvers take none.
+
+    A ``split`` m > 0 takes the first m increments as a path gamma and the
+    rest as <-sigma, and solves the grid as ``grid_gram`` solves a pair:
+    gamma's own grid, the rest's own grid, and the rectangle of rows
+    0..m-1 and columns m+1..n between them.  It equals the plain solve up
+    to rounding.
     """
+    if split:
+        return SolutionGrid(backend._split_grid(incs.deltas, _checked_split(incs, split), False))
     return SolutionGrid(backend.explicit_grid(_gram(incs.deltas)))
 
 
-def solve_implicit(incs: IncrementSequence) -> SolutionGrid:
+def solve_implicit(incs: IncrementSequence, split: int = 0) -> SolutionGrid:
     """Right-point grid scheme.
 
     Each cell solves its own linearised equation,
@@ -127,9 +134,17 @@ def solve_implicit(incs: IncrementSequence) -> SolutionGrid:
     one lower-triangular system whose matrix does not depend on i, so each
     row is a column of its inverse, and the block inverse of a triangular
     matrix gives that column from the rows already solved below it (see
-    :mod:`sigdev.backend`).
+    :mod:`sigdev.backend`).  ``split`` is as for :func:`solve_explicit`.
     """
+    if split:
+        return SolutionGrid(backend._split_grid(incs.deltas, _checked_split(incs, split), True))
     return SolutionGrid(backend.implicit_grid(_gram(incs.deltas)))
+
+
+def _checked_split(incs: IncrementSequence, split: int) -> int:
+    if not 0 <= split <= len(incs) or int(split) != split:
+        raise DomainError("split must be an integer from 0 to the number of increments")
+    return int(split)
 
 
 def semicircle_charfn(x: float) -> float:
@@ -364,7 +379,9 @@ def k_sd(
     of sigma is split into equal jumps per ``mesh`` (target per-interval
     1-variation) or ``dyadic_order`` (``paths._refined_deltas``), and the
     jumps of gamma * <-sigma are gamma's followed by sigma's, reversed and
-    negated.  The series scheme uses ``tol``.
+    negated.  Its grid is solved split at the junction (``split`` of
+    :func:`solve_explicit`), as one entry of ``grid_gram``.  The series
+    scheme uses ``tol``.
     """
     if gamma.dim != sigma.dim:
         raise DomainError("paths must share dimension")
@@ -375,24 +392,28 @@ def k_sd(
     gamma_deltas = _refined_deltas(gamma, mesh, dyadic_order)
     sigma_reversed = _reversed(_refined_deltas(sigma, mesh, dyadic_order))
     incs = IncrementSequence(np.concatenate((gamma_deltas, sigma_reversed)))
-    if scheme == "explicit":
-        return solve_explicit(incs).final
-    return solve_implicit(incs).final
+    solver = solve_explicit if scheme == "explicit" else solve_implicit
+    return solver(incs, split=len(gamma_deltas)).final
 
 
 def grid_gram(paths_a: Sequence[Path], paths_b: Sequence[Path], scheme: str, mesh: float) -> np.ndarray:
     """Schwinger-Dyson kernel k_sd(a_i, b_j, scheme, mesh=mesh) of every pair
     by a grid scheme, ``explicit`` or ``implicit``.
 
-    Each path is refined once: a pair's increments join the refined
-    increments of a_i with the reversed ones of b_j, so no path of the
-    concatenation is formed.  Pairs are visited in the order of a
-    column-by-column fill (with one sample, or ``paths_b is paths_a``, only
-    i <= j, mirrored), and their grids are solved together in batches
-    (:mod:`sigdev.backend`), each pair's Gram written straight into its
-    batch's stack, so only one batch's Grams are alive at a time.  Every
-    entry it solves equals its ``k_sd`` value bit for bit.  Raises
-    ``NumericError`` when a Gram or grid overflows.
+    Each path is refined once, and no path of the concatenation is formed.
+    The grid of gamma * <-sigma, with m jumps from gamma and s from
+    <-sigma, holds gamma's own grid in its rows and columns 0..m and
+    <-sigma's own grid in m..m+s, since a cell depends only on the jumps
+    between its two knots.  So each path's own grid is solved once per
+    Gram: each a_i's, and each reversed b_j's.  Per pair only the
+    rectangle of rows 0..m-1 and columns m+1..m+s between them is solved:
+    left-point column by column, batched by m; right-point row by row,
+    batched by s (:mod:`sigdev.backend`).  With one sample, or
+    ``paths_b is paths_a``, only i <= j is solved, then mirrored.  Every
+    entry equals its ``k_sd`` value bit for bit, and the whole grid up to
+    rounding.  The own grids kept alive are bounded by a fixed budget; past
+    it the paths are taken in chunks.  Raises ``NumericError`` when a Gram
+    or grid overflows.
     """
     if scheme not in ("explicit", "implicit"):
         raise DomainError(f"unknown grid scheme {scheme!r}; choose from explicit, implicit")
@@ -401,24 +422,10 @@ def grid_gram(paths_a: Sequence[Path], paths_b: Sequence[Path], scheme: str, mes
     same = paths_b is paths_a
     rows = [_refined_deltas(p, mesh) for p in paths_a]
     columns = [_reversed(d) for d in rows] if same else [_reversed(_refined_deltas(p, mesh)) for p in paths_b]
-
-    def prepared():
-        for j in range(len(paths_b)):
-            for i in range(j + 1 if same else len(paths_a)):
-                deltas = np.concatenate((rows[i], columns[j]))
-                yield len(deltas) + 1, (i, j, deltas)
-
+    pairs = [(i, j) for j in range(len(paths_b)) for i in range(j + 1 if same else len(paths_a))]
     values = np.empty((len(paths_a), len(paths_b)))
-    workspace = np.empty(2 * backend._BATCH_CELLS)
-    for batch in backend._batched(prepared()):
-        batch.sort(key=lambda pair: -len(pair[2]))  # stable: largest n first
-        sizes = [len(deltas) for _, _, deltas in batch]
-        grams, grids = backend._stacks(len(batch), sizes[0], workspace)
-        for k, (_, _, deltas) in enumerate(batch):
-            _gram(deltas, out=backend._block(grams, k, sizes[k], implicit))
-        backend._grids(grams, sizes, implicit, grids)
-        for k, (i, j, _) in enumerate(batch):
-            values[i, j] = backend._block(grids, k, sizes[k] + 1, implicit)[0, -1]
-            if same:
-                values[j, i] = values[i, j]
+    for (i, j), value in zip(pairs, backend._pair_values(rows, columns, pairs, implicit)):
+        values[i, j] = value
+        if same:
+            values[j, i] = value
     return values

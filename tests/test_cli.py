@@ -175,6 +175,31 @@ class TestConvergeCommand:
         assert captured.out == ""
         assert "error" in captured.err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--lambda", "a..b"),
+            ("--lambda", "6..0"),
+            ("--lambda", "1,x"),
+            ("--matrix-dim", "x"),
+            ("--matrix-dim", "50..10"),
+        ],
+    )
+    def test_bad_list_exits_2_with_one_error_line(self, tmp_path, capsys, flag, value):
+        a = write_line_csv(tmp_path, "l.csv", [1.0])
+        assert main(["converge", a, "--lambda", "0", "--matrix-dim", "", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = [line for line in captured.err.splitlines() if "error:" in line]
+        assert flag in line and repr(value) in line
+        assert "Traceback" not in captured.err
+
+    def test_empty_matrix_dim_turns_the_monte_carlo_rows_off(self, tmp_path):
+        a = write_line_csv(tmp_path, "l.csv", [1.0])
+        out = tmp_path / "t.csv"
+        assert main(["converge", a, "--lambda", "1..2", "--matrix-dim", "", "--out", str(out)]) == 0
+        assert [(r["kind"], r["param"]) for r in read_rows(out)] == [("scheme", "1"), ("scheme", "2")]
+
     def test_deterministic_bytes(self, tmp_path):
         a = write_line_csv(tmp_path, "l.csv", [1.0])
         outs = []
@@ -353,7 +378,8 @@ class TestKernelNames:
 class TestSolversReachedThroughModule:
     """Every one-pair grid route calls the solvers through the ``sdkernel``
     module attributes, so wrapping those attributes sees every solve.  A
-    Gram solves its pairs in batches, through ``backend._grids``."""
+    Gram solves its own grids in batches through ``backend._grids``, and its
+    pairs' rectangles in batches through ``backend._cross``."""
 
     @pytest.fixture()
     def calls(self, monkeypatch):
@@ -376,13 +402,20 @@ class TestSolversReachedThroughModule:
         batches = []
 
         def recorded(grams, sizes, implicit, grids, _grids=backend._grids):
-            batches.append(len(sizes))
+            batches.append(("own", len(sizes)))
             return _grids(grams, sizes, implicit, grids)
 
+        def recorded_cross(stacks, sizes, implicit, _cross=backend._cross):
+            batches.append(("cross", len(sizes)))
+            return _cross(stacks, sizes, implicit)
+
         monkeypatch.setattr(backend, "_grids", recorded)
+        monkeypatch.setattr(backend, "_cross", recorded_cross)
         sample = PathSample(tuple(Path([0.0, 1.0], [[0.0], [v]]) for v in (0.2, 0.3, 0.4)))
         gram(sample, None, "sd_explicit", KernelSpec(mesh=0.2))
-        assert batches == [6]
+        # one batch of own grids per side, then one batch of rectangles per m
+        # (the paths have 1, 2 and 2 jumps)
+        assert batches == [("own", 3), ("own", 3), ("cross", 3), ("cross", 3)]
         assert calls == {}
 
     def test_kernel_command(self, tmp_path, calls, capsys):
@@ -526,6 +559,16 @@ class TestEnvOverrides:
         out = tmp_path / "t.csv"
         assert main(["converge", a, "--matrix-dim", "", "--out", str(out)]) == 0
         assert [(r["kind"], r["param"]) for r in read_rows(out)] == [("scheme", str(lam)) for lam in range(3)]
+
+    @pytest.mark.parametrize("value", ["a..b", "6..0"])
+    def test_bad_lambda_variable_exits_2_naming_it(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("SIGDEV_LAMBDA", value)
+        a = write_line_csv(tmp_path, "l.csv", [1.0])
+        assert main(["converge", a, "--matrix-dim", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = [line for line in captured.err.splitlines() if "error:" in line]
+        assert "SIGDEV_LAMBDA" in line and repr(value) in line
 
     def test_other_commands_ignore_a_variable_they_lack(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SIGDEV_LAMBDA", "0..2")

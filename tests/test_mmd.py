@@ -254,14 +254,26 @@ class TestGridGrams:
 
     @pytest.fixture()
     def batches(self, monkeypatch):
+        """("own", sizes) of each batch of own grids, and ("cross", sizes,
+        largest stack) of each batch of rectangles, in order."""
         sizes = []
 
         def recorded(grams, batch_sizes, implicit, grids, _grids=backend._grids):
-            sizes.append(list(batch_sizes))
+            sizes.append(("own", list(batch_sizes)))
             return _grids(grams, batch_sizes, implicit, grids)
 
+        def recorded_cross(stacks, batch_sizes, implicit, _cross=backend._cross):
+            sizes.append(("cross", list(batch_sizes), max(stack.size for stack in stacks)))
+            return _cross(stacks, batch_sizes, implicit)
+
         monkeypatch.setattr(backend, "_grids", recorded)
+        monkeypatch.setattr(backend, "_cross", recorded_cross)
         return sizes
+
+    @staticmethod
+    def split(solved):
+        """The own-grid batches and the rectangle batches of one Gram."""
+        return [b[1] for b in solved if b[0] == "own"], [b[1:] for b in solved if b[0] == "cross"]
 
     @staticmethod
     def assert_equals_k_sd(sample_a, sample_b, mesh, batches=()):
@@ -291,32 +303,50 @@ class TestGridGrams:
     def test_pairs_of_different_n_in_one_batch(self, batches):
         a = PathSample(paths_of_variation((0.05, 0.4, 0.9), seed=180, segments=3))
         b = PathSample(paths_of_variation((0.1, 0.7), seed=190, segments=8))
-        for (sizes,) in self.assert_equals_k_sd(a, b, 0.1, batches).values():
-            assert len(sizes) == 6 and len(set(sizes)) >= 4
-            assert sizes == sorted(sizes, reverse=True)
+        for solved in self.assert_equals_k_sd(a, b, 0.1, batches).values():
+            own, cross = self.split(solved)
+            # each side's own grids, of different n, are one batch, largest first
+            assert [len(sizes) for sizes in own] == [2, 3]
+            for sizes in own:
+                assert sizes == sorted(sizes, reverse=True) and len(set(sizes)) == len(sizes)
+            # the rectangles: every pair once, each batch largest first, some mixing sizes
+            assert sum(len(sizes) for sizes, _ in cross) == 6
+            assert all(sizes == sorted(sizes, reverse=True) for sizes, _ in cross)
+            assert any(len(set(sizes)) > 1 for sizes, _ in cross)
 
     def test_one_point_paths(self, batches):
         point = Path([0.0], [[0.3, -0.1]])
         other = Path([2.0], [[1.0, 1.0]])
         sample = PathSample((point, make_piecewise_linear(200, 4, 2, 0.5), other))
-        for (sizes,) in self.assert_equals_k_sd(sample, None, 0.1, batches).values():
-            assert sizes.count(0) == 3
+        for solved in self.assert_equals_k_sd(sample, None, 0.1, batches).values():
+            own, cross = self.split(solved)
+            # each one-point path has an empty own grid on each side, and only
+            # the pair of the other path with itself has a rectangle to solve
+            assert [sizes.count(0) for sizes in own] == [2, 2]
+            assert [sizes for sizes, _ in cross] == [[max(own[0])]]
         values = gram(PathSample((point, other)), None, "sd_implicit", KernelSpec(mesh=0.1)).values
         assert values.tolist() == [[1.0, 1.0], [1.0, 1.0]]
 
     def test_sample_over_several_batches(self, batches):
         sample = PathSample(paths_of_variation((0.5, 0.6, 0.7, 0.8, 0.9), seed=210))
         for solved in self.assert_equals_k_sd(sample, None, 0.008, batches).values():
-            assert len(solved) >= 3
-            assert sum(map(len, solved)) == 15
-            for sizes in solved:
+            own, cross = self.split(solved)
+            assert sum(map(len, own)) == 2 * 5
+            for sizes in own:
                 assert len(sizes) == 1 or len(sizes) * (sizes[0] + 1) ** 2 <= 2**16
+            assert len(cross) >= 3
+            assert sum(len(sizes) for sizes, _ in cross) == 15
+            for sizes, largest in cross:
+                assert len(sizes) == 1 or largest <= 2**16
 
     def test_pair_past_the_budget(self, batches):
         a = PathSample(paths_of_variation((0.8,), seed=220))
         b = PathSample(paths_of_variation((0.1,), seed=230))
-        for (big, small) in self.assert_equals_k_sd(a, PathSample(a.paths + b.paths), 0.005, batches).values():
-            assert (big[0] + 1) ** 2 > 2**16 and len(big) == 1
+        for solved in self.assert_equals_k_sd(a, PathSample(a.paths + b.paths), 0.005, batches).values():
+            _, cross = self.split(solved)
+            # two slots of the large pair would pass the budget, so it is batched alone
+            (big, big_stack), (small, _) = sorted(cross, key=lambda batch: -batch[1])
+            assert 2 * big_stack > 2**16 and len(big) == 1
             assert len(small) == 1
 
     def test_overflowing_grid_raises_numeric_error(self):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -493,6 +494,135 @@ class TestRefinedOnce:
         assert refined == list(rows) + (list(columns) if two_samples else [])
         k_sd(rows[0], columns[0], "implicit", mesh=0.05)  # the probe sees the one-pair route
         assert built == ["IncrementSequence"]
+
+
+
+def segments_path(seed, segments, dim=2):
+    """A path of the given segment count whose segments stay one jump each
+    at mesh 1.0; no segments gives a one-point path."""
+    if segments == 0:
+        return Path([0.0], np.full((1, dim), 0.1 * seed))
+    return make_piecewise_linear(seed, segments, dim, 0.3)
+
+
+class TestSplitGrids:
+    """A pair's grid as gamma's own triangle, <-sigma's own triangle and the
+    rectangle between them (``backend._pair_values``, ``_split_grid``)."""
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 17, 40])
+    @pytest.mark.parametrize("s", [0, 1, 2, 17, 40])
+    def test_own_grids_and_rectangle_match_the_full_grid(self, m, s):
+        deltas = np.random.default_rng(100 * m + s).normal(size=(m + s, 2)) * 0.1
+        gram = deltas @ deltas.T
+        for solver, loop in ((solve_explicit, _column_loop), (solve_implicit, _row_loop)):
+            got = solver(IncrementSequence(deltas), split=m).values
+            assert np.abs(got - loop(gram)).max() <= 1e-13
+
+    def test_split_is_checked(self):
+        incs = IncrementSequence(np.ones((3, 1)))
+        for split in (-1, 4, 1.5):
+            with pytest.raises(DomainError):
+                solve_explicit(incs, split=split)
+
+    @pytest.fixture()
+    def rectangles(self, monkeypatch):
+        """Sizes of each rectangle batch, in order."""
+        sizes = []
+
+        def recorded(stacks, batch_sizes, implicit, _cross=backend._cross):
+            sizes.append(list(batch_sizes))
+            return _cross(stacks, batch_sizes, implicit)
+
+        monkeypatch.setattr(backend, "_cross", recorded)
+        return sizes
+
+    @staticmethod
+    def assert_equals_k_sd(rows, columns, scheme, values):
+        # a one-sample Gram mirrors its upper triangle
+        for i in range(len(rows)):
+            for j in range(len(columns)):
+                gamma, sigma = (rows[j], columns[i]) if columns is rows and i > j else (rows[i], columns[j])
+                assert values[i, j] == k_sd(gamma, sigma, scheme, mesh=1.0)
+
+    def test_left_point_batches_mix_several_s(self, rectangles):
+        rows = tuple(segments_path(seed, 5) for seed in (1, 2))
+        columns = tuple(segments_path(seed, s) for seed, s in ((3, 3), (4, 12), (5, 7), (6, 12), (7, 1)))
+        values = grid_gram(rows, columns, "explicit", 1.0)
+        # one batch for m = 5, its pairs' s largest first
+        assert rectangles == [[12, 12, 12, 12, 7, 7, 3, 3, 1, 1]]
+        self.assert_equals_k_sd(rows, columns, "explicit", values)
+
+    def test_right_point_batches_mix_several_m(self, rectangles):
+        rows = tuple(segments_path(seed, m) for seed, m in ((1, 3), (2, 12), (3, 7), (4, 12), (5, 1)))
+        columns = tuple(segments_path(seed, 5) for seed in (6, 7))
+        values = grid_gram(rows, columns, "implicit", 1.0)
+        # one batch for s = 5, its pairs' m largest first
+        assert rectangles == [[12, 12, 12, 12, 7, 7, 3, 3, 1, 1]]
+        self.assert_equals_k_sd(rows, columns, "implicit", values)
+
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    def test_one_point_paths_on_either_side(self, rectangles, scheme):
+        point, other = segments_path(1, 0), segments_path(2, 0)
+        paths = (point, segments_path(3, 4), other, segments_path(4, 9))
+        for columns in (paths[::-1], paths):
+            rectangles.clear()
+            values = grid_gram(paths, columns, scheme, 1.0)
+            # only the pairs of the two paths with jumps solve a rectangle
+            assert sum(map(len, rectangles)) == (4 if columns is not paths else 3)
+            points = [j for j, path in enumerate(columns) if path is point or path is other]
+            assert values[np.ix_([0, 2], points)].tolist() == [[1.0, 1.0], [1.0, 1.0]]
+            self.assert_equals_k_sd(paths, columns, scheme, values)
+
+    @pytest.fixture()
+    def own(self, monkeypatch):
+        """(side, path) of every own grid solved, and the slots of each
+        ``_grids`` batch."""
+        solved, slots = [], []
+
+        def counted_sides(paths, implicit, column, workspace, _sides=backend._sides):
+            solved.extend(("column" if column else "row", id(deltas)) for deltas in paths)
+            return _sides(paths, implicit, column, workspace)
+
+        def counted_grids(grams, sizes, implicit, grids, _grids=backend._grids):
+            slots.append(len(sizes))
+            return _grids(grams, sizes, implicit, grids)
+
+        monkeypatch.setattr(backend, "_sides", counted_sides)
+        monkeypatch.setattr(backend, "_grids", counted_grids)
+        return solved, slots
+
+    ROWS = tuple(segments_path(seed, n) for seed, n in ((10, 6), (11, 0), (12, 9), (13, 3)))
+    COLUMNS = tuple(segments_path(seed, n) for seed, n in ((14, 8), (15, 2), (16, 5)))
+
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    @pytest.mark.parametrize("two_samples", [False, True])
+    def test_each_own_grid_is_solved_once_per_gram_and_side(self, own, scheme, two_samples):
+        solved, slots = own
+        columns = self.COLUMNS if two_samples else self.ROWS
+        grid_gram(self.ROWS, columns, scheme, 1.0)
+        assert Counter(side for side, _ in solved) == {"column": len(columns), "row": len(self.ROWS)}
+        assert len(set(solved)) == len(solved)
+        # each side's own grids are one batch of the existing grid solver
+        assert slots == [len(columns), len(self.ROWS)]
+
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    @pytest.mark.parametrize("two_samples", [False, True])
+    def test_a_small_own_grid_budget_gives_the_same_values(self, own, monkeypatch, scheme, two_samples):
+        solved, _ = own
+        columns = self.COLUMNS if two_samples else self.ROWS
+        expected = grid_gram(self.ROWS, columns, scheme, 1.0)
+        solved.clear()
+        # every path is a chunk of its own, so each row chunk solves the columns again
+        monkeypatch.setattr(backend, "_OWN_CELLS", 1)
+        assert grid_gram(self.ROWS, columns, scheme, 1.0).tobytes() == expected.tobytes()
+        sides = Counter(side for side, _ in solved)
+        assert sides == {"row": len(self.ROWS), "column": len(self.ROWS) * len(columns)}
+        # a budget that holds one side whole solves it once
+        solved.clear()
+        largest = max(len(paths._refined_deltas(p, 1.0)) + 1 for p in columns)
+        monkeypatch.setattr(backend, "_OWN_CELLS", len(columns) * largest**2)
+        assert grid_gram(self.ROWS, columns, scheme, 1.0).tobytes() == expected.tobytes()
+        assert Counter(side for side, _ in solved)["column"] == len(columns)
 
 
 @settings(max_examples=15, deadline=None)
