@@ -80,11 +80,11 @@ the rectangle of rows 0..m-1 and columns m+1..n is solved:
 
 In both schemes a pair's BLAS shapes depend only on its batch key, its own
 sizes and the step, never on the rest of the batch, so every Gram entry
-equals the one-pair route (``_split_grid``, which ``k_sd`` runs) bit for
-bit; zero padding inside a product would not keep that.  A pair costs
-about s (left-point) or m (right-point) stacked steps and m s (m + s/2)
-or m s (s + m/2) multiply-adds, where the whole grid takes n steps and
-n^3/3 (44 % fewer at m = s).
+equals the pair solved alone (``k_sd`` runs ``_pair_values`` on its one
+pair) bit for bit; zero padding inside a product would not keep that.  A
+pair costs about s (left-point) or m (right-point) stacked steps and
+m s (m + s/2) or m s (s + m/2) multiply-adds, where the whole grid takes
+n steps and n^3/3 (44 % fewer at m = s).
 
 Each stack of a rectangle batch holds at most ``_BATCH_CELLS`` cells
 unless the batch holds a single pair, and a Gram's batches, own grids and
@@ -397,21 +397,3 @@ def _pair_values(
                 values[chunk[k]] = rectangle[0, -1]
     return values
 
-
-@np.errstate(over="ignore", invalid="ignore")
-def _split_grid(deltas: np.ndarray, split: int, implicit: bool) -> np.ndarray:
-    """Grid of the increments ``deltas`` whose first ``split`` form gamma
-    and the rest <-sigma: the two own grids and the rectangle between them,
-    by the code ``_pair_values`` runs for a pair."""
-    gamma, sigma = deltas[:split], deltas[split:]
-    grams = [_inner(gamma, gamma), _inner(sigma, sigma)]
-    workspace = np.empty(0)  # each of the two batches carves its own stacks
-    own = _own_grids(grams, implicit, workspace)
-    row = _side(gamma, grams[0], own[0], implicit, False)
-    column = _side(sigma, grams[1], own[1], implicit, True)
-    grid = np.zeros((len(deltas) + 1,) * 2)
-    grid[: split + 1, : split + 1] = own[0]
-    grid[split:, split:] = own[1]
-    for _, rectangle in _rectangles({0: row}, {0: column}, [(0, 0)], implicit, workspace):
-        grid[:split, split + 1 :] = rectangle
-    return grid

@@ -34,7 +34,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .paths import IncrementSequence, Partition, Path, piecewise_constant_increments
+from .paths import IncrementSequence, Partition, Path, _finite_deltas, piecewise_constant_increments
 from .rng import TAG_GINIBRE, TAG_GUE, keyed_generator
 
 GUE = "gue"
@@ -304,7 +304,7 @@ def rk_montecarlo(path: Path, cfg: EnsembleConfig) -> RkEstimate:
         raise DomainError("rk_montecarlo requires the GUE ensemble")
     if cfg.path_dim != path.dim:
         raise DomainError("cfg.path_dim does not match the path")
-    incs = piecewise_constant_increments(path, Partition(path.times))
+    incs = IncrementSequence(_finite_deltas(path))
     traces = np.empty(cfg.samples_m, dtype=np.complex128)
     for s in range(cfg.samples_m):
         mats = sample_matrices(cfg, s)
@@ -321,7 +321,8 @@ def sigkernel_montecarlo(
 ) -> SigKernelEstimate:
     """Monte-Carlo estimate of the signature kernel of two paths:
     mean over samples of (1/N) tr(Z_gamma^* Z_sigma) for general-linear
-    developments driven by the same Ginibre matrices.
+    developments driven by the same Ginibre matrices.  With ``partition``
+    None, each path is developed over its own segments.
     """
     if cfg.kind != COMPLEX_GINIBRE:
         raise DomainError("sigkernel_montecarlo requires the complex Ginibre ensemble")
@@ -333,8 +334,8 @@ def sigkernel_montecarlo(
         incs_a = piecewise_constant_increments(gamma, partition)
         incs_b = piecewise_constant_increments(sigma, partition)
     else:
-        incs_a = piecewise_constant_increments(gamma, Partition(gamma.times))
-        incs_b = piecewise_constant_increments(sigma, Partition(sigma.times))
+        incs_a = IncrementSequence(_finite_deltas(gamma))
+        incs_b = IncrementSequence(_finite_deltas(sigma))
     pairings = np.empty(cfg.samples_m, dtype=np.complex128)
     for s in range(cfg.samples_m):
         mats = sample_matrices(cfg, s)

@@ -26,7 +26,6 @@ import numpy as np
 
 from . import backend
 from .errors import DomainError, ResourceLimitError
-from .freeprob import nc2_enumerate
 from .paths import IncrementSequence, Path, _refined_deltas, one_variation
 from .signature import (
     _check_feature_budget,
@@ -39,8 +38,6 @@ from .signature import (
 )
 
 MAX_SERIES_LEVEL = 16
-
-_EINSUM_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
 @dataclass(frozen=True)
@@ -83,14 +80,7 @@ def _reversed(deltas: np.ndarray) -> np.ndarray:
     return -deltas[::-1]
 
 
-def _gram(deltas: np.ndarray) -> np.ndarray:
-    """<D[p], D[q]> for every pair of increments.  An entry that overflows
-    is left to the grid solvers' finiteness check, which reports it."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.matmul(deltas, deltas.T)
-
-
-def solve_explicit(incs: IncrementSequence, split: int = 0) -> SolutionGrid:
+def solve_explicit(incs: IncrementSequence) -> SolutionGrid:
     """Left-point grid scheme.
 
     Column by column,
@@ -100,20 +90,17 @@ def solve_explicit(incs: IncrementSequence, split: int = 0) -> SolutionGrid:
 
     the one-step form of the double-sum expansion whose inner window opens
     just past the first jump of each pair.  Values depend only on the
-    increments, never on the knot times, so the solvers take none.
-
-    A ``split`` m > 0 takes the first m increments as a path gamma and the
-    rest as <-sigma, and solves the grid as ``grid_gram`` solves a pair:
-    gamma's own grid, the rest's own grid, and the rectangle of rows
-    0..m-1 and columns m+1..n between them.  It equals the plain solve up
-    to rounding.
+    increments, never on the knot times, so the solvers take none.  The
+    whole grid is solved at once; ``grid_gram`` and ``k_sd`` solve a pair
+    of paths by its two own grids and the rectangle between them instead
+    (:mod:`sigdev.backend`), equal to this grid up to rounding.
     """
-    if split:
-        return SolutionGrid(backend._split_grid(incs.deltas, _checked_split(incs, split), False))
-    return SolutionGrid(backend.explicit_grid(_gram(incs.deltas)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = backend._inner(incs.deltas, incs.deltas)
+    return SolutionGrid(backend.explicit_grid(gram))
 
 
-def solve_implicit(incs: IncrementSequence, split: int = 0) -> SolutionGrid:
+def solve_implicit(incs: IncrementSequence) -> SolutionGrid:
     """Right-point grid scheme.
 
     Each cell solves its own linearised equation,
@@ -134,17 +121,12 @@ def solve_implicit(incs: IncrementSequence, split: int = 0) -> SolutionGrid:
     one lower-triangular system whose matrix does not depend on i, so each
     row is a column of its inverse, and the block inverse of a triangular
     matrix gives that column from the rows already solved below it (see
-    :mod:`sigdev.backend`).  ``split`` is as for :func:`solve_explicit`.
+    :mod:`sigdev.backend`).  As for :func:`solve_explicit`, the whole grid
+    is solved at once.
     """
-    if split:
-        return SolutionGrid(backend._split_grid(incs.deltas, _checked_split(incs, split), True))
-    return SolutionGrid(backend.implicit_grid(_gram(incs.deltas)))
-
-
-def _checked_split(incs: IncrementSequence, split: int) -> int:
-    if not 0 <= split <= len(incs) or int(split) != split:
-        raise DomainError("split must be an integer from 0 to the number of increments")
-    return int(split)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = backend._inner(incs.deltas, incs.deltas)
+    return SolutionGrid(backend.implicit_grid(gram))
 
 
 def semicircle_charfn(x: float) -> float:
@@ -201,29 +183,6 @@ def series_tail_bound(variation: float, level: int) -> float:
             return math.inf
 
 
-def _pairing_subscripts(partition, length: int) -> str:
-    labels = [""] * length
-    for letter, (i, j) in zip(_EINSUM_LETTERS, partition.sorted_pairs()):
-        labels[i - 1] = letter
-        labels[j - 1] = letter
-    return "".join(labels) + "->"
-
-
-def _moment_contraction(tensor: np.ndarray, dim: int, length: int) -> float:
-    """sum_I phi(I) S^I over words of one even length.
-
-    Reorganised as a sum over non-crossing pairings: each pairing
-    contributes the generalized diagonal of the level tensor where paired
-    slots share an index, which einsum extracts without materialising the
-    d^m moment table.
-    """
-    cube = tensor.reshape((dim,) * length)
-    total = 0.0
-    for partition in nc2_enumerate(length):
-        total += float(np.einsum(_pairing_subscripts(partition, length), cube))
-    return total
-
-
 def _series_level(variation: float, tol: float) -> int:
     """Smallest even level <= MAX_SERIES_LEVEL whose certified tail bound at
     the given 1-variation falls below tol; a resource error otherwise."""
@@ -239,20 +198,23 @@ def _series_level(variation: float, tol: float) -> int:
 def series_oracle(path: Path, tol: float = 1e-8) -> SeriesKernel:
     """Kernel via its moment expansion sum_I i^|I| phi(I) S^I(path).
 
-    Odd levels vanish; even level m carries sign (-1)^(m/2).  The truncation
-    level is the smallest even L <= 16 whose certified tail bound
-    sum_{m>L} C_{m/2} |path|_1^m / m! falls below ``tol``; if none does, a
-    resource error reports the best achievable bound.
+    Odd levels vanish; even level m carries sign (-1)^(m/2) and is the dot
+    product of the level-m signature with the moment table phi over words
+    of length m (``_moment_tables``, which ``series_gram`` also uses).  The
+    truncation level is the smallest even L <= 16 whose certified tail
+    bound sum_{m>L} C_{m/2} |path|_1^m / m! falls below ``tol``; if none
+    does, a resource error reports the best achievable bound.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
     variation = one_variation(path)
     level = _series_level(variation, tol)
     sig = truncated_signature(path, level=level)
+    tables = _moment_tables(path.dim, level)
     value = 1.0
     for m in range(2, level + 1, 2):
-        sign = -1.0 if (m // 2) % 2 else 1.0
-        value += sign * _moment_contraction(sig.tensors[m], path.dim, m)
+        term = float(np.dot(tables[m], sig.tensors[m].ravel()))
+        value += -term if (m // 2) % 2 else term
     return SeriesKernel(value, series_tail_bound(variation, level), level)
 
 
@@ -379,9 +341,10 @@ def k_sd(
     of sigma is split into equal jumps per ``mesh`` (target per-interval
     1-variation) or ``dyadic_order`` (``paths._refined_deltas``), and the
     jumps of gamma * <-sigma are gamma's followed by sigma's, reversed and
-    negated.  Its grid is solved split at the junction (``split`` of
-    :func:`solve_explicit`), as one entry of ``grid_gram``.  The series
-    scheme uses ``tol``.
+    negated.  The pair is solved by ``backend._pair_values``, the code
+    ``grid_gram`` runs for every pair: each path's own grid and the
+    rectangle between them, so every Gram entry equals this value bit for
+    bit.  The series scheme uses ``tol``.
     """
     if gamma.dim != sigma.dim:
         raise DomainError("paths must share dimension")
@@ -389,11 +352,9 @@ def k_sd(
         return series_kernel(gamma, sigma, tol).value
     if scheme not in ("explicit", "implicit"):
         raise DomainError(f"unknown scheme {scheme!r}; choose from explicit, implicit, series")
-    gamma_deltas = _refined_deltas(gamma, mesh, dyadic_order)
-    sigma_reversed = _reversed(_refined_deltas(sigma, mesh, dyadic_order))
-    incs = IncrementSequence(np.concatenate((gamma_deltas, sigma_reversed)))
-    solver = solve_explicit if scheme == "explicit" else solve_implicit
-    return solver(incs, split=len(gamma_deltas)).final
+    rows = [_refined_deltas(gamma, mesh, dyadic_order)]
+    columns = [_reversed(_refined_deltas(sigma, mesh, dyadic_order))]
+    return float(backend._pair_values(rows, columns, [(0, 0)], scheme == "implicit")[0])
 
 
 def grid_gram(paths_a: Sequence[Path], paths_b: Sequence[Path], scheme: str, mesh: float) -> np.ndarray:

@@ -376,9 +376,10 @@ class TestKernelNames:
 
 
 class TestSolversReachedThroughModule:
-    """Every one-pair grid route calls the solvers through the ``sdkernel``
+    """``converge`` calls the whole-grid solvers through the ``sdkernel``
     module attributes, so wrapping those attributes sees every solve.  A
-    Gram solves its own grids in batches through ``backend._grids``, and its
+    pair of paths (``k_sd``, ``kernel``) and a Gram solve no whole grid:
+    their own grids go in batches through ``backend._grids``, and their
     pairs' rectangles in batches through ``backend._cross``."""
 
     @pytest.fixture()
@@ -392,25 +393,32 @@ class TestSolversReachedThroughModule:
             monkeypatch.setattr(sdkernel, name, counted)
         return counts
 
-    def test_k_sd(self, calls):
+    @pytest.fixture()
+    def batches(self, monkeypatch):
+        """("own" or "cross", slots) of each own-grid and rectangle batch."""
+        recorded = []
+
+        def own(grams, sizes, implicit, grids, _grids=backend._grids):
+            recorded.append(("own", len(sizes)))
+            return _grids(grams, sizes, implicit, grids)
+
+        def cross(stacks, sizes, implicit, _cross=backend._cross):
+            recorded.append(("cross", len(sizes)))
+            return _cross(stacks, sizes, implicit)
+
+        monkeypatch.setattr(backend, "_grids", own)
+        monkeypatch.setattr(backend, "_cross", cross)
+        return recorded
+
+    def test_k_sd(self, calls, batches):
         line = Path([0.0, 1.0], [[0.0], [0.5]])
         k_sd(line, line, "explicit", dyadic_order=1)
         k_sd(line, line, "implicit", dyadic_order=1)
-        assert calls == {"solve_explicit": 1, "solve_implicit": 1}
+        # each pair: gamma's own grid, <-sigma's own grid, one rectangle
+        assert batches == [("own", 1), ("own", 1), ("cross", 1)] * 2
+        assert calls == {}
 
-    def test_gram_solves_its_pairs_in_one_batch(self, calls, monkeypatch):
-        batches = []
-
-        def recorded(grams, sizes, implicit, grids, _grids=backend._grids):
-            batches.append(("own", len(sizes)))
-            return _grids(grams, sizes, implicit, grids)
-
-        def recorded_cross(stacks, sizes, implicit, _cross=backend._cross):
-            batches.append(("cross", len(sizes)))
-            return _cross(stacks, sizes, implicit)
-
-        monkeypatch.setattr(backend, "_grids", recorded)
-        monkeypatch.setattr(backend, "_cross", recorded_cross)
+    def test_gram_solves_its_pairs_in_one_batch(self, calls, batches):
         sample = PathSample(tuple(Path([0.0, 1.0], [[0.0], [v]]) for v in (0.2, 0.3, 0.4)))
         gram(sample, None, "sd_explicit", KernelSpec(mesh=0.2))
         # one batch of own grids per side, then one batch of rectangles per m
@@ -418,10 +426,11 @@ class TestSolversReachedThroughModule:
         assert batches == [("own", 3), ("own", 3), ("cross", 3), ("cross", 3)]
         assert calls == {}
 
-    def test_kernel_command(self, tmp_path, calls, capsys):
+    def test_kernel_command(self, tmp_path, calls, batches, capsys):
         a = write_line_csv(tmp_path, "l.csv", [0.5])
         assert main(["kernel", a, a, "--scheme", "implicit", "--lambda", "2"]) == 0
-        assert calls == {"solve_implicit": 1}
+        assert batches == [("own", 1), ("own", 1), ("cross", 1)]
+        assert calls == {}
 
     def test_converge_command(self, tmp_path, calls):
         a = write_line_csv(tmp_path, "l.csv", [0.5])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -411,3 +412,16 @@ class TestSigkernelMonteCarlo:
         cfg = EnsembleConfig(COMPLEX_GINIBRE, 8, 2, 0, 1)
         with pytest.raises(DomainError):
             sigkernel_montecarlo(line([1.0]), line([1.0, 0.0]), None, cfg)
+
+
+@pytest.mark.parametrize("estimate", ["rk", "sigkernel"])
+def test_overflowing_segment_is_refused_without_a_warning(estimate):
+    # each point is finite, their difference is not
+    wild = Path([0.0, 1.0], [[-1e308], [1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            if estimate == "rk":
+                rk_montecarlo(wild, gue_cfg())
+            else:
+                sigkernel_montecarlo(wild, line([1.0]), None, EnsembleConfig(COMPLEX_GINIBRE, 8, 2, 0, 1))

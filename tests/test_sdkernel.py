@@ -492,7 +492,9 @@ class TestRefinedOnce:
         grid_gram(rows, columns, "implicit", 0.05)
         assert built == []
         assert refined == list(rows) + (list(columns) if two_samples else [])
-        k_sd(rows[0], columns[0], "implicit", mesh=0.05)  # the probe sees the one-pair route
+        k_sd(rows[0], columns[0], "implicit", mesh=0.05)  # the one-pair route builds none either
+        assert built == []
+        IncrementSequence(np.zeros((1, 2)))  # the probe is live
         assert built == ["IncrementSequence"]
 
 
@@ -507,22 +509,24 @@ def segments_path(seed, segments, dim=2):
 
 class TestSplitGrids:
     """A pair's grid as gamma's own triangle, <-sigma's own triangle and the
-    rectangle between them (``backend._pair_values``, ``_split_grid``)."""
+    rectangle between them (``backend._pair_values``, which ``k_sd`` runs)."""
 
     @pytest.mark.parametrize("m", [0, 1, 2, 17, 40])
     @pytest.mark.parametrize("s", [0, 1, 2, 17, 40])
     def test_own_grids_and_rectangle_match_the_full_grid(self, m, s):
         deltas = np.random.default_rng(100 * m + s).normal(size=(m + s, 2)) * 0.1
-        gram = deltas @ deltas.T
-        for solver, loop in ((solve_explicit, _column_loop), (solve_implicit, _row_loop)):
-            got = solver(IncrementSequence(deltas), split=m).values
-            assert np.abs(got - loop(gram)).max() <= 1e-13
-
-    def test_split_is_checked(self):
-        incs = IncrementSequence(np.ones((3, 1)))
-        for split in (-1, 4, 1.5):
-            with pytest.raises(DomainError):
-                solve_explicit(incs, split=split)
+        gamma, sigma = deltas[:m], deltas[m:]
+        for implicit, loop in ((False, _column_loop), (True, _row_loop)):
+            grams = [gamma @ gamma.T, sigma @ sigma.T]
+            own = backend._own_grids(grams, implicit, np.empty(0))
+            row = backend._side(gamma, grams[0], own[0], implicit, False)
+            column = backend._side(sigma, grams[1], own[1], implicit, True)
+            got = np.zeros((m + s + 1,) * 2)
+            got[: m + 1, : m + 1] = own[0]
+            got[m:, m:] = own[1]
+            for _, rectangle in backend._rectangles({0: row}, {0: column}, [(0, 0)], implicit, np.empty(0)):
+                got[:m, m + 1 :] = rectangle
+            assert np.abs(got - loop(deltas @ deltas.T)).max() <= 1e-13
 
     @pytest.fixture()
     def rectangles(self, monkeypatch):
@@ -654,3 +658,14 @@ def test_moment_tables_equal_pairing_counts(dim, level):
     assert sorted(tables) == list(range(0, level + 1, 2))
     for m in range(2, level + 1, 2):
         assert tables[m].tobytes() == pairing_count_table(dim, m).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_series_oracle_is_the_series_kernel_against_a_point(dim):
+    path = make_piecewise_linear(60 + dim, 7, dim, 1.0)
+    point = Path([0.0], np.full((1, dim), 0.3))
+    oracle = series_oracle(path, tol=1e-8)
+    pair = sdkernel.series_kernel(path, point, tol=1e-8)
+    assert oracle.level == pair.level
+    assert abs(oracle.value - pair.value) <= 1e-14
+    assert abs(oracle.tail_bound - pair.tail_bound) <= 1e-14
