@@ -223,10 +223,14 @@ def _inner(left: np.ndarray, right: np.ndarray, out: np.ndarray | None = None) -
 
 def _own_grids(grams: Sequence[np.ndarray], implicit: bool, workspace: np.ndarray) -> list[np.ndarray]:
     """The grid of each Gram, solved in batches of ``_batched``, largest
-    first; each equals its grid solved alone bit for bit."""
+    first, a batch of one without copies; each equals its grid solved alone
+    bit for bit."""
     order = sorted(range(len(grams)), key=lambda k: -len(grams[k]))
     grids: list[np.ndarray] = [np.empty(0)] * len(grams)
     for batch in _batched((len(grams[k]) + 1, k) for k in order):
+        if len(batch) == 1:
+            grids[batch[0]] = (implicit_grid if implicit else explicit_grid)(grams[batch[0]])
+            continue
         sizes = [len(grams[k]) for k in batch]
         stack, solved = _stacks(len(batch), sizes[0], workspace)
         for slot, k in enumerate(batch):

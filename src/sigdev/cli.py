@@ -26,26 +26,14 @@ from typing import Sequence
 
 import numpy as np
 
-from . import sdkernel
 from .errors import DomainError, NumericError, ResourceLimitError
 from .mmd import KERNELS, KernelSpec, PathSample, gram, mmd2, resolve_kernel
-from .paths import (
-    IncrementSequence,
-    Path,
-    _finite_deltas,
-    _refined_deltas,
-    gen_fbm,
-    one_variation,
-    read_path_csv,
-    read_paths_jsonl,
-    scaled,
-    write_path_csv,
-)
+from .paths import Path, _finite_deltas, gen_fbm, read_path_csv, read_paths_jsonl, scaled, write_path_csv
 from .randomdev import GUE, EnsembleConfig, rk_montecarlo
-from .sdkernel import k_sd, semicircle_charfn, series_kernel, series_oracle
-from .signature import level_for_remainder, signature_kernel_truncated
+from .sdkernel import semicircle_charfn, series_oracle
 
-_GRID_KERNELS = [name for name, field in KERNELS.items() if field == "mesh"]
+_GRID_KERNELS = [name for name, kernel in KERNELS.items() if kernel.field == "mesh"]
+_KERNEL_TOL = {"sig_truncated": 1e-10}  # kernel's tol where it is not KernelSpec's
 _KERNEL_HELP = " | ".join(KERNELS) + " (or an sd_ name without its prefix)"
 _CONVERGE_COLUMNS = "kind,param,value,reference,error,stderr"
 
@@ -87,11 +75,10 @@ def _parse_int_list(text: str) -> Sequence[int]:
         raise argparse.ArgumentTypeError(f"expected integers such as '3', '1,2,5' or '0..6', not {text!r}") from None
 
 
-def _kernel_spec(args) -> KernelSpec:
-    """A spec of the fields given on the command line; KernelSpec's
-    defaults fill the rest."""
+def _kernel_spec(args, **defaults) -> KernelSpec:
+    """A spec of the fields given on the command line; ``defaults``, then KernelSpec's, fill the rest."""
     given = {f.name: getattr(args, f.name, None) for f in fields(KernelSpec)}
-    return KernelSpec(**{name: value for name, value in given.items() if value is not None})
+    return KernelSpec(**defaults | {name: value for name, value in given.items() if value is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -101,33 +88,17 @@ def cmd_kernel(args) -> int:
     gamma = read_path_csv(args.gamma)
     sigma = read_path_csv(args.sigma)
     scheme = resolve_kernel(args.scheme)
-    tail = None
-    detail: dict[str, object] = {}
-    if scheme == "sig_truncated":
-        level = args.level
-        if level is None:
-            tol = args.tol if args.tol is not None else 1e-10
-            var_product = one_variation(gamma) * one_variation(sigma)
-            level = level_for_remainder(var_product, gamma.dim, tol)
-        res = signature_kernel_truncated(gamma, sigma, level=level)
-        value, tail = res.value, res.remainder_bound
-        detail["level"] = level
-    elif scheme == "sd_series":
-        tol = _kernel_spec(args).tol
-        res = series_kernel(gamma, sigma, tol)
-        value, tail = res.value, res.tail_bound
-        detail["tol"] = tol
-        detail["level"] = res.level
-    else:
-        value = k_sd(gamma, sigma, scheme.removeprefix("sd_"), dyadic_order=args.dyadic)
-        detail["lambda"] = args.dyadic
+    spec = _kernel_spec(args, mesh=None, level=None, tol=_KERNEL_TOL.get(scheme, KernelSpec.tol))
+    values, ran, provenance = KERNELS[scheme].route((gamma,), (sigma,), spec)
+    level, tail = provenance(0, 0)
+    detail = dict([ran.setting(scheme)] + ([] if level is None else [("level", level)]))
+    value = float(values[0, 0])
     if args.format == "json":
         payload = {"value": value, "kernel": scheme, "detail": detail, "tail_bound": tail}
         _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
     else:
         detail_text = ";".join(f"{k}={v}" for k, v in sorted(detail.items()))
-        row = [value, scheme, detail_text, tail if tail is not None else None]
-        _emit(_csv([row], "value,kernel,detail,tail_bound"), args.out)
+        _emit(_csv([[value, scheme, detail_text, tail]], "value,kernel,detail,tail_bound"), args.out)
     return 0
 
 
@@ -144,7 +115,6 @@ def cmd_converge(args) -> int:
     scheme = resolve_kernel(args.scheme)
     if scheme not in _GRID_KERNELS:
         raise DomainError(f"converge needs a grid scheme ({', '.join(_GRID_KERNELS)}), not {args.scheme!r}")
-    solver = sdkernel.solve_explicit if scheme == "sd_explicit" else sdkernel.solve_implicit
     path = _load_converge_path(args)
     tol = args.tol if args.tol is not None else 1e-8
     _finite_deltas(path)  # refuse an overflowing segment before any route runs
@@ -156,9 +126,10 @@ def cmd_converge(args) -> int:
         reference = semicircle_charfn(displacement)
     else:
         reference = series_oracle(path, tol=tol).value
+    point = Path(path.times[:1], path.points[:1])  # no jumps: each value is the path's own-grid corner
     rows: list[list] = []
     for lam in args.dyadic:
-        value = solver(IncrementSequence(_refined_deltas(path, dyadic_order=lam))).final
+        value = float(KERNELS[scheme].route((path,), (point,), KernelSpec(mesh=None, dyadic=lam)).values[0, 0])
         rows.append(["scheme", str(lam), value, reference, abs(value - reference), None])
     for n_dim in args.matrix_dim:
         cfg = EnsembleConfig(GUE, n_dim, args.mc_samples, args.seed, path.dim)

@@ -1,5 +1,10 @@
 """Gram matrices and maximum mean discrepancy between sets of paths.
 
+``KERNELS`` maps each kernel name to the ``KernelSpec`` field that tunes
+it and to its route: (paths_a, paths_b, spec) -> ``Evaluation``, the kernel
+of every pair with a lazy provenance (level, certified tail) per entry.
+``gram`` runs a route on two samples, ``kernel`` and ``converge`` on one pair.
+
 The default estimator is the V-statistic (same-index terms included): with
 a positive semidefinite kernel it is nonnegative by construction, which
 matches the identity between the path characteristic-function distance and
@@ -8,23 +13,82 @@ the MMD of its kernel.  The U-statistic is available behind a flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import DomainError
-from .paths import Path
+from .paths import Path, one_variation
 # k_sd is not called here; the benchmark's tracer wraps it under this name
-from .sdkernel import grid_gram, k_sd, series_gram  # noqa: F401
-from .signature import signature_gram
+from .sdkernel import _series_gram, grid_gram, k_sd, series_tail_bound  # noqa: F401
+from .signature import _kernel_tail, level_for_remainder, signature_gram
 
-# Every kernel name, with the KernelSpec field that tunes it.  The grid
-# kernels are the ones tuned by ``mesh``.
+
+@dataclass(frozen=True)
+class KernelSpec:
+    """Discretization knobs: the grid kernels' target per-interval
+    1-variation ``mesh``, or with None 2**``dyadic`` equal jumps per
+    segment; the series ``tol``; the signature kernel's truncation
+    ``level``, or with None the lowest level whose remainder bound for the
+    largest 1-variation product of a pair falls below ``tol``."""
+
+    mesh: float | None = 0.05
+    tol: float = 1e-6
+    level: int | None = 8
+    dyadic: int = 0
+
+    def setting(self, kernel: str) -> tuple[str, float]:
+        """The knob the kernel runs by: its ``KERNELS`` field, else
+        ``lambda`` (``dyadic``) for a grid and ``tol`` for a signature."""
+        field = KERNELS[kernel].field
+        if getattr(self, field) is not None:
+            return field, getattr(self, field)
+        return ("lambda", self.dyadic) if field == "mesh" else ("tol", self.tol)
+
+    def tag(self, kernel: str) -> str:
+        return "{}({}={:g})".format(kernel, *self.setting(kernel))
+
+
+class Evaluation(NamedTuple):
+    values: np.ndarray
+    spec: KernelSpec  # as it ran: a level of None resolved
+    provenance: Callable[[int, int], tuple[int | None, float | None]]
+
+
+def _grid_route(scheme: str, paths_a, paths_b, spec) -> Evaluation:
+    return Evaluation(grid_gram(paths_a, paths_b, scheme, spec.mesh, spec.dyadic), spec, lambda i, j: (None, None))
+
+
+def _series_route(paths_a, paths_b, spec) -> Evaluation:
+    values, levels, var_a, var_b = _series_gram(paths_a, paths_b, spec.tol)
+    levels = levels.tolist()
+    return Evaluation(values, spec, lambda i, j: (levels[i][j], series_tail_bound(var_a[i] + var_b[j], levels[i][j])))
+
+
+def _signature_route(paths_a, paths_b, spec) -> Evaluation:
+    level = spec.level
+    if level is None and paths_a and paths_b:  # found before the dimensions are compared, as kernel always has
+        var_product = max(map(one_variation, paths_a)) * max(map(one_variation, paths_b))
+        level = level_for_remainder(var_product, paths_a[0].dim, spec.tol)
+
+    def provenance(i, j):
+        return level, _kernel_tail(one_variation(paths_a[i]) * one_variation(paths_b[j]), level)
+
+    return Evaluation(signature_gram(paths_a, paths_b, level), replace(spec, level=level), provenance)
+
+
+class Kernel(NamedTuple):
+    field: str  # the KernelSpec field that tunes the kernel
+    route: Callable[..., Evaluation]
+
+
 KERNELS = {
-    "sd_explicit": "mesh",
-    "sd_implicit": "mesh",
-    "sd_series": "tol",
-    "sig_truncated": "level",
+    "sd_explicit": Kernel("mesh", partial(_grid_route, "explicit")),
+    "sd_implicit": Kernel("mesh", partial(_grid_route, "implicit")),
+    "sd_series": Kernel("tol", _series_route),
+    "sig_truncated": Kernel("level", _signature_route),
 }
 
 
@@ -62,20 +126,6 @@ class PathSample:
 
 
 @dataclass(frozen=True)
-class KernelSpec:
-    """Discretization knobs: target per-interval 1-variation for the grid
-    schemes, series tolerance, truncation level for the signature kernel."""
-
-    mesh: float = 0.05
-    tol: float = 1e-6
-    level: int = 8
-
-    def tag(self, kernel: str) -> str:
-        field = KERNELS[kernel]
-        return f"{kernel}({field}={getattr(self, field):g})"
-
-
-@dataclass(frozen=True)
 class GramMatrix:
     values: np.ndarray
     kernel_tag: str
@@ -95,7 +145,7 @@ def gram(
     kernel: str = "sd_series",
     spec: KernelSpec = KernelSpec(),
 ) -> GramMatrix:
-    """Kernel matrix between two path samples.
+    """Kernel matrix between two path samples, by the kernel's route.
 
     The series and signature kernels sign each path once and contract the
     signatures pair by pair (``series_gram``, ``signature_gram``); the grid
@@ -110,14 +160,8 @@ def gram(
     sample_b = sample_a if sample_b is None else sample_b
     if sample_a.dim != sample_b.dim:
         raise DomainError("samples must share path dimension")
-    paths_a, paths_b = sample_a.paths, sample_b.paths
-    if kernel == "sd_series":
-        values = series_gram(paths_a, paths_b, spec.tol)
-    elif kernel == "sig_truncated":
-        values = signature_gram(paths_a, paths_b, spec.level)
-    else:
-        values = grid_gram(paths_a, paths_b, kernel.removeprefix("sd_"), spec.mesh)
-    return GramMatrix(values, spec.tag(kernel))
+    values, ran, _ = KERNELS[kernel].route(sample_a.paths, sample_b.paths, spec)
+    return GramMatrix(values, ran.tag(kernel))
 
 
 def mmd2(

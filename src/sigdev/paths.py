@@ -192,9 +192,8 @@ def piecewise_constant_increments(path: Path, partition: Partition) -> Increment
         raise DomainError("partition must cover the path's time span")
     knots = np.clip(partition.knots, path.start_time, path.end_time)
     values = path.evaluate(knots)
-    deltas = np.diff(values, axis=0)
-    if deltas.size == 0:
-        deltas = np.zeros((0, path.dim))
+    with np.errstate(over="ignore", invalid="ignore"):
+        deltas = np.diff(values, axis=0)  # IncrementSequence refuses one that overflowed
     return IncrementSequence(deltas)
 
 

@@ -91,9 +91,9 @@ def solve_explicit(incs: IncrementSequence) -> SolutionGrid:
     the one-step form of the double-sum expansion whose inner window opens
     just past the first jump of each pair.  Values depend only on the
     increments, never on the knot times, so the solvers take none.  The
-    whole grid is solved at once; ``grid_gram`` and ``k_sd`` solve a pair
-    of paths by its two own grids and the rectangle between them instead
-    (:mod:`sigdev.backend`), equal to this grid up to rounding.
+    whole grid is solved at once, as the reference for ``grid_gram``,
+    which solves a pair by its two own grids and the rectangle between
+    them (:mod:`sigdev.backend`), equal to this grid up to rounding.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         gram = backend._inner(incs.deltas, incs.deltas)
@@ -111,18 +111,8 @@ def solve_implicit(incs: IncrementSequence) -> SolutionGrid:
 
     obtained by moving the diagonal term of the right-point double sum to
     the left-hand side.  The grid is solved row by row, bottom-up, in the
-    equivalent form
-
-        K[i][b] = (K[i+1][b]
-                   - sum_{r=i+1}^{b-1} K[i+1][r+1] <D[i], D[r]> K[r][b])
-                  / (1 + <D[i], D[i]>),
-
-    one vector-matrix product per row: for a fixed i the cell equations are
-    one lower-triangular system whose matrix does not depend on i, so each
-    row is a column of its inverse, and the block inverse of a triangular
-    matrix gives that column from the rows already solved below it (see
-    :mod:`sigdev.backend`).  As for :func:`solve_explicit`, the whole grid
-    is solved at once.
+    equivalent row form of :mod:`sigdev.backend`.  As for
+    :func:`solve_explicit`, the whole grid is solved at once.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         gram = backend._inner(incs.deltas, incs.deltas)
@@ -337,14 +327,9 @@ def k_sd(
     """Schwinger-Dyson kernel of two paths: the kernel of gamma followed by
     reversed sigma, evaluated at the full interval.
 
-    Grid schemes discretize the concatenation: every segment of gamma and
-    of sigma is split into equal jumps per ``mesh`` (target per-interval
-    1-variation) or ``dyadic_order`` (``paths._refined_deltas``), and the
-    jumps of gamma * <-sigma are gamma's followed by sigma's, reversed and
-    negated.  The pair is solved by ``backend._pair_values``, the code
-    ``grid_gram`` runs for every pair: each path's own grid and the
-    rectangle between them, so every Gram entry equals this value bit for
-    bit.  The series scheme uses ``tol``.
+    The series scheme is ``series_kernel`` at ``tol``.  A grid scheme is
+    the one entry of ``grid_gram((gamma,), (sigma,), scheme, mesh,
+    dyadic_order)``, so every Gram entry equals this value bit for bit.
     """
     if gamma.dim != sigma.dim:
         raise DomainError("paths must share dimension")
@@ -352,37 +337,38 @@ def k_sd(
         return series_kernel(gamma, sigma, tol).value
     if scheme not in ("explicit", "implicit"):
         raise DomainError(f"unknown scheme {scheme!r}; choose from explicit, implicit, series")
-    rows = [_refined_deltas(gamma, mesh, dyadic_order)]
-    columns = [_reversed(_refined_deltas(sigma, mesh, dyadic_order))]
-    return float(backend._pair_values(rows, columns, [(0, 0)], scheme == "implicit")[0])
+    return float(grid_gram((gamma,), (sigma,), scheme, mesh, dyadic_order)[0, 0])
 
 
-def grid_gram(paths_a: Sequence[Path], paths_b: Sequence[Path], scheme: str, mesh: float) -> np.ndarray:
-    """Schwinger-Dyson kernel k_sd(a_i, b_j, scheme, mesh=mesh) of every pair
-    by a grid scheme, ``explicit`` or ``implicit``.
+def grid_gram(
+    paths_a: Sequence[Path], paths_b: Sequence[Path], scheme: str, mesh: float | None = None, dyadic_order: int = 0
+) -> np.ndarray:
+    """Schwinger-Dyson kernel of every pair (a_i, b_j) by a grid scheme,
+    ``explicit`` or ``implicit``, each path refined once per ``mesh`` when
+    given, else per ``dyadic_order`` (``paths._refined_deltas``).
 
-    Each path is refined once, and no path of the concatenation is formed.
-    The grid of gamma * <-sigma, with m jumps from gamma and s from
-    <-sigma, holds gamma's own grid in its rows and columns 0..m and
-    <-sigma's own grid in m..m+s, since a cell depends only on the jumps
-    between its two knots.  So each path's own grid is solved once per
-    Gram: each a_i's, and each reversed b_j's.  Per pair only the
-    rectangle of rows 0..m-1 and columns m+1..m+s between them is solved:
-    left-point column by column, batched by m; right-point row by row,
-    batched by s (:mod:`sigdev.backend`).  With one sample, or
-    ``paths_b is paths_a``, only i <= j is solved, then mirrored.  Every
-    entry equals its ``k_sd`` value bit for bit, and the whole grid up to
-    rounding.  The own grids kept alive are bounded by a fixed budget; past
-    it the paths are taken in chunks.  Raises ``NumericError`` when a Gram
-    or grid overflows.
+    No path of the concatenation is formed.  The grid of gamma * <-sigma,
+    with m jumps from gamma and s from <-sigma, holds gamma's own grid in
+    its rows and columns 0..m and <-sigma's own grid in m..m+s, since a
+    cell depends only on the jumps between its two knots.  So each path's
+    own grid is solved once per Gram, and per pair only the rectangle of
+    rows 0..m-1 and columns m+1..m+s between them: left-point column by
+    column, batched by m; right-point row by row, batched by s
+    (:mod:`sigdev.backend`).  A pair with no jump on one side is the other
+    side's own-grid corner.  With one sample, or ``paths_b is paths_a``,
+    only i <= j is solved, then mirrored.  Every entry equals the pair
+    solved alone (``k_sd``) bit for bit, and the whole grid (``solve_*``)
+    up to rounding.  The own grids kept alive are bounded by a fixed
+    budget; past it the paths are taken in chunks.  Raises
+    ``NumericError`` when a Gram or grid overflows.
     """
     if scheme not in ("explicit", "implicit"):
         raise DomainError(f"unknown grid scheme {scheme!r}; choose from explicit, implicit")
     _check_same_dim(paths_a, paths_b)
     implicit = scheme == "implicit"
     same = paths_b is paths_a
-    rows = [_refined_deltas(p, mesh) for p in paths_a]
-    columns = [_reversed(d) for d in rows] if same else [_reversed(_refined_deltas(p, mesh)) for p in paths_b]
+    rows = [_refined_deltas(p, mesh, dyadic_order) for p in paths_a]
+    columns = [_reversed(d) for d in (rows if same else [_refined_deltas(p, mesh, dyadic_order) for p in paths_b])]
     pairs = [(i, j) for j in range(len(paths_b)) for i in range(j + 1 if same else len(paths_a))]
     values = np.empty((len(paths_a), len(paths_b)))
     for (i, j), value in zip(pairs, backend._pair_values(rows, columns, pairs, implicit)):

@@ -272,11 +272,11 @@ def signature_gram(paths_a: Sequence[Path], paths_b: Sequence[Path], level: int)
 
     Each path is signed once: ``paths_a`` in one batched pass, whose
     signatures are kept, and each path of ``paths_b`` when its column is
-    filled (passing the same sequence twice signs it once).  Every entry is
-    the same sum of level-wise dot products that
-    ``signature_kernel_truncated`` returns, so the two agree bit for bit.
+    filled (passing the same sequence twice signs it once).
+    ``signature_kernel_truncated`` is this Gram on one pair.
     """
     dim = _check_same_dim(paths_a, paths_b)
+    _check_storage(dim, level)
     _check_feature_budget(dim, [level] * len(paths_a))
     sig_a = [_level_views(f, dim, level) for f in _sign_paths(paths_a, [level] * len(paths_a))]
     same = paths_b is paths_a
@@ -343,16 +343,12 @@ def _kernel_tail(var_product: float, level: int) -> float:
 
 def signature_kernel_truncated(gamma: Path, sigma: Path, level: int = 8) -> SigKernelValue:
     """Truncated signature kernel sum_{m<=L} <S^m(gamma), S^m(sigma)>_HS of
-    the whole paths.  The reported remainder bound
-    sum_{m>L} (|gamma|_1 |sigma|_1)^m / (m!)^2 certifies the discarded tail.
+    the whole paths, the one entry of ``signature_gram``.  The reported
+    remainder bound sum_{m>L} (|gamma|_1 |sigma|_1)^m / (m!)^2 certifies
+    the discarded tail.
     """
-    if gamma.dim != sigma.dim:
-        raise DomainError("paths must share dimension")
-    sig_a = truncated_signature(gamma, level=level)
-    sig_b = truncated_signature(sigma, level=level)
-    value = _signature_pair(sig_a.tensors, sig_b.tensors)
-    var_product = one_variation(gamma) * one_variation(sigma)
-    return SigKernelValue(value, _kernel_tail(var_product, level), level)
+    value = float(signature_gram((gamma,), (sigma,), level)[0, 0])
+    return SigKernelValue(value, _kernel_tail(one_variation(gamma) * one_variation(sigma), level), level)
 
 
 def level_for_remainder(var_product: float, dim: int, tol: float) -> int:

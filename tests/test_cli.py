@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from sigdev import (
+    IncrementSequence,
     KernelSpec,
     Path,
     PathSample,
@@ -25,7 +26,8 @@ from sigdev import (
 from sigdev import backend, cli, sdkernel
 from sigdev.cli import build_parser, main
 from sigdev.mmd import KERNELS
-from sigdev.sdkernel import exact_straight_line
+from sigdev.paths import _refined_deltas
+from sigdev.sdkernel import exact_straight_line, solve_explicit, solve_implicit
 
 
 def write_line_csv(tmp_path, name, v, points=2):
@@ -105,6 +107,17 @@ class TestKernelCommand:
         value = capsys.readouterr().out.splitlines()[1].split(",")[0]
         assert value == repr(k_sd(read_path_csv(a), read_path_csv(b), scheme, dyadic_order=3))
 
+    @pytest.mark.parametrize("name", list(KERNELS))
+    def test_value_is_the_routes_one_entry(self, tmp_path, capsys, name):
+        a = write_line_csv(tmp_path, "a.csv", [0.4, 0.3], points=4)
+        b = write_line_csv(tmp_path, "b.csv", [0.25, -0.5], points=3)
+        flags = ["--lambda", "2", "--tol", "1e-8", "--level", "6"]
+        assert main(["kernel", a, b, "--scheme", name, *flags]) == 0
+        value = capsys.readouterr().out.splitlines()[1].split(",")[0]
+        spec = KernelSpec(mesh=None, dyadic=2, tol=1e-8, level=6)
+        evaluation = KERNELS[name].route((read_path_csv(a),), (read_path_csv(b),), spec)
+        assert value == repr(float(evaluation.values[0, 0]))
+
     def test_readme_first_example(self, tmp_path, capsys):
         """The README's first two commands, genfbm then the series kernel."""
         path = str(tmp_path / "path.csv")
@@ -117,6 +130,19 @@ class TestKernelCommand:
 
 
 class TestConvergeCommand:
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    @pytest.mark.parametrize("points,dim", [(8, 1), (8, 2), (1, 2)])
+    def test_scheme_rows_are_the_whole_grids(self, tmp_path, scheme, points, dim):
+        path = Path(np.arange(points), gen_fbm(0.75, max(points, 2), dim, 5).points[:points] * 0.4)
+        source, out = tmp_path / "p.csv", tmp_path / "t.csv"
+        write_path_csv(path, source)
+        argv = ["converge", str(source), "--scheme", scheme, "--lambda", "0..6", "--matrix-dim", "", "--out", str(out)]
+        assert main(argv) == 0
+        solver = solve_explicit if scheme == "explicit" else solve_implicit
+        for lam, row in enumerate(read_rows(out)):
+            whole = solver(IncrementSequence(_refined_deltas(path, dyadic_order=lam))).final
+            assert row["param"] == str(lam) and row["value"] == repr(whole)
+
     def test_row_contract_and_decreasing_errors(self, tmp_path):
         a = write_line_csv(tmp_path, "l.csv", [1.0])
         out = tmp_path / "table.csv"
@@ -364,6 +390,14 @@ class TestKernelNames:
             assert outputs[short] == outputs[full]
         assert len({outputs[name] for name in KERNELS}) == len(KERNELS)
 
+    def test_readme_table_lists_every_kernel(self):
+        """README's kernel table names exactly the kernels of ``KERNELS``,
+        each with its short name (an sd_ name without its prefix)."""
+        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+        table = readme.read_text(encoding="utf-8").split("| Name | Short name |", 1)[1].split("\n\n", 1)[0]
+        rows = [[cell.strip().strip("`") for cell in line.split("|")[1:3]] for line in table.splitlines()[2:]]
+        assert rows == [[name, name.removeprefix("sd_") if name.startswith("sd_") else ""] for name in KERNELS]
+
     @pytest.mark.parametrize("command", ["kernel", "converge", "gram", "mmd"])
     def test_unknown_name_exits_2(self, files, capsys, command):
         if command == "converge":
@@ -376,11 +410,11 @@ class TestKernelNames:
 
 
 class TestSolversReachedThroughModule:
-    """``converge`` calls the whole-grid solvers through the ``sdkernel``
-    module attributes, so wrapping those attributes sees every solve.  A
-    pair of paths (``k_sd``, ``kernel``) and a Gram solve no whole grid:
-    their own grids go in batches through ``backend._grids``, and their
-    pairs' rectangles in batches through ``backend._cross``."""
+    """No command solves a whole grid through ``sdkernel.solve_*``.  A pair
+    of paths (``k_sd``, ``kernel``) and a Gram solve their own grids in
+    batches through ``backend._grids`` and their pairs' rectangles in
+    batches through ``backend._cross``.  ``converge`` runs the grid route
+    against a one-point path: one own grid per order, and no rectangle."""
 
     @pytest.fixture()
     def calls(self, monkeypatch):
@@ -432,13 +466,15 @@ class TestSolversReachedThroughModule:
         assert batches == [("own", 1), ("own", 1), ("cross", 1)]
         assert calls == {}
 
-    def test_converge_command(self, tmp_path, calls):
+    def test_converge_command(self, tmp_path, calls, batches):
         a = write_line_csv(tmp_path, "l.csv", [0.5])
         out = str(tmp_path / "t.csv")
         for scheme in ("explicit", "sd_implicit"):
             argv = ["converge", a, "--scheme", scheme, "--lambda", "0..2", "--matrix-dim", "", "--out", out]
             assert main(argv) == 0
-        assert calls == {"solve_explicit": 3, "solve_implicit": 3}
+        # per order: the path's own grid and the one-point path's, no rectangle
+        assert batches == [("own", 1), ("own", 1)] * 6
+        assert calls == {}
 
 
 class TestGenFbm:

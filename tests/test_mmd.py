@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -23,10 +24,12 @@ from sigdev import (
     signature_gram,
     signature_kernel_truncated,
     truncated_signature,
+    write_path_csv,
     write_paths_jsonl,
 )
 from sigdev import backend, sdkernel, signature
 from sigdev.cli import main
+from sigdev.mmd import KERNELS
 from sigdev.signature import MAX_FEATURE_ENTRIES, _check_feature_budget
 from helpers import make_piecewise_linear
 
@@ -87,6 +90,32 @@ class TestGram:
         ]
         for kernel, spec, tag in cases:
             assert gram(sample, None, kernel, spec).kernel_tag == tag
+
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    def test_no_mesh_refines_by_the_dyadic_order(self, scheme):
+        a, b = fbm_sample((4, 5), scale=0.3), fbm_sample((6, 7, 8), scale=0.3)
+        for lam in (0, 1, 3):
+            matrix = gram(a, b, "sd_" + scheme, KernelSpec(mesh=None, dyadic=lam))
+            assert matrix.kernel_tag == f"sd_{scheme}(lambda={lam})"
+            for i, gamma in enumerate(a.paths):
+                for j, sigma in enumerate(b.paths):
+                    assert matrix.values[i, j] == k_sd(gamma, sigma, scheme, dyadic_order=lam)
+
+    def test_no_level_is_the_level_kernel_picks(self, tmp_path, capsys):
+        gamma, sigma = (scaled(gen_fbm(0.75, 16, 2, s), 0.25) for s in (7, 3))
+        files = [tmp_path / "g.csv", tmp_path / "s.csv"]
+        for path, file in zip((gamma, sigma), files):
+            write_path_csv(path, file)
+        assert main(["kernel", *map(str, files), "--scheme", "sig_truncated", "--format", "json"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        matrix = gram(PathSample((gamma,)), PathSample((sigma,)), "sig_truncated", KernelSpec(level=None, tol=1e-10))
+        assert matrix.values[0, 0] == printed["value"]
+        assert matrix.kernel_tag == f"sig_truncated(level={printed['detail']['level']})"
+
+    def test_every_tag_formats_with_none_fields(self):
+        spec = KernelSpec(mesh=None, dyadic=3, level=None)
+        tags = ["sd_explicit(lambda=3)", "sd_implicit(lambda=3)", "sd_series(tol=1e-06)", "sig_truncated(tol=1e-06)"]
+        assert [spec.tag(kernel) for kernel in KERNELS] == tags
 
     def test_matches_direct_kernel_calls(self):
         a = fbm_sample((4, 5))

@@ -147,6 +147,13 @@ class TestIncrements:
         incs = piecewise_constant_increments(p, Partition(p.times))
         assert np.array_equal(incs.deltas, np.diff(p.points, axis=0))
 
+    def test_overflowing_difference_is_refused_without_a_warning(self):
+        path = Path([0.0, 1.0], [[-1e308], [1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                piecewise_constant_increments(path, Partition([0.0, 1.0]))
+
     def test_partition_must_cover_span(self):
         with pytest.raises(DomainError):
             piecewise_constant_increments(line([1.0]), Partition([0.0, 0.5]))
