@@ -89,10 +89,11 @@ n steps and n^3/3 (44 % fewer at m = s).
 Each stack of a rectangle batch holds at most ``_BATCH_CELLS`` cells
 unless the batch holds a single pair, and a Gram's batches, own grids and
 rectangles alike, share one workspace.  The kept sides hold about
-(n+1)^2 cells per path; when one side's paths need more than
-``_OWN_CELLS`` = 2^20 (8 MiB), they are taken in chunks, and the column
-paths are solved again for each chunk of row paths only when they do not
-fit at once.
+(n+1)^2 cells per path that a rectangle reads; a path paired only with
+paths of no jump, as in ``converge``, keeps only its corner K[0][n].
+When one side's paths need more than ``_OWN_CELLS`` = 2^20 (8 MiB), they
+are taken in chunks, and the column paths are solved again for each chunk
+of row paths only when they do not fit at once.
 
 A grid or Gram that is not finite (an increment too large to square)
 raises ``NumericError``; numpy's overflow warnings are silenced, since
@@ -250,7 +251,8 @@ class _Side(NamedTuple):
     right-point <-sigma, K[r][b] for b >= 1 with the diagonal r = b zeroed.
     ``edge`` is K[0] for left-point <-sigma and 1 + <D[i], D[i]> for
     right-point gamma.  ``corner`` is K[0][n], the value of a pair whose
-    other side has no jump."""
+    other side has no jump.  A side that no rectangle reads (no pair with
+    jumps on both sides holds its path) keeps only the corner."""
 
     deltas: np.ndarray
     block: np.ndarray
@@ -258,9 +260,11 @@ class _Side(NamedTuple):
     corner: float
 
 
-def _side(deltas: np.ndarray, gram: np.ndarray, grid: np.ndarray, implicit: bool, column: bool) -> _Side:
+def _side(deltas: np.ndarray, gram: np.ndarray, grid: np.ndarray, implicit: bool, column: bool, crossed: bool) -> _Side:
     n = len(deltas)
     corner = float(grid[0, n])
+    if not crossed:
+        return _Side(deltas, np.empty(0), np.empty(0), corner)
     if implicit and column:
         block = grid[:n, 1:].copy()
         np.fill_diagonal(block[1:], 0.0)
@@ -272,11 +276,14 @@ def _side(deltas: np.ndarray, gram: np.ndarray, grid: np.ndarray, implicit: bool
     return _Side(deltas, grid[:n], np.empty(0), corner)
 
 
-def _sides(paths: Sequence[np.ndarray], implicit: bool, column: bool, workspace: np.ndarray) -> list[_Side]:
-    """Each path's own grid, solved together, reduced to its ``_Side``."""
+def _sides(
+    paths: Sequence[np.ndarray], implicit: bool, column: bool, crossed: Sequence[bool], workspace: np.ndarray
+) -> list[_Side]:
+    """Each path's own grid, solved together, reduced to its ``_Side``;
+    ``crossed`` tells for each path whether a rectangle reads its side."""
     grams = [_inner(deltas, deltas) for deltas in paths]
     grids = _own_grids(grams, implicit, workspace)
-    return [_side(*own, implicit, column) for own in zip(paths, grams, grids)]
+    return [_side(*own, implicit, column, read) for *own, read in zip(paths, grams, grids, crossed)]
 
 
 def _explicit_cross(grids: np.ndarray, weights: np.ndarray, sizes: Sequence[int]) -> None:
@@ -384,14 +391,18 @@ def _pair_values(
     with the jumps rows[i] and <-sigma with the jumps columns[j]."""
     values = np.empty(len(pairs))
     workspace = np.empty(2 * _BATCH_CELLS)  # shared by every batch, own grids and rectangles
+    crossed = [(i, j) for i, j in pairs if len(rows[i]) and len(columns[j])]
+    crossed_rows, crossed_columns = {i for i, _ in crossed}, {j for _, j in crossed}
 
     def column_sides(chunk):
-        return dict(zip(chunk, _sides([columns[j] for j in chunk], implicit, True, workspace)))
+        paths, read = [columns[j] for j in chunk], [j in crossed_columns for j in chunk]
+        return dict(zip(chunk, _sides(paths, implicit, True, read, workspace)))
 
     column_chunks = list(_batched(((len(deltas) + 1, j) for j, deltas in enumerate(columns)), _OWN_CELLS))
     held = [column_sides(chunk) for chunk in column_chunks] if len(column_chunks) == 1 else None
     for row_chunk in _batched(((len(deltas) + 1, i) for i, deltas in enumerate(rows)), _OWN_CELLS):
-        row_sides = dict(zip(row_chunk, _sides([rows[i] for i in row_chunk], implicit, False, workspace)))
+        paths, read = [rows[i] for i in row_chunk], [i in crossed_rows for i in row_chunk]
+        row_sides = dict(zip(row_chunk, _sides(paths, implicit, False, read, workspace)))
         for sides in held or map(column_sides, column_chunks):
             chunk = [k for k, (i, j) in enumerate(pairs) if i in row_sides and j in sides]
             for k in chunk:  # a pair with no jump on one side; the rectangles overwrite the rest

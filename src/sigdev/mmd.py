@@ -23,7 +23,7 @@ from .errors import DomainError
 from .paths import Path, one_variation
 # k_sd is not called here; the benchmark's tracer wraps it under this name
 from .sdkernel import _series_gram, grid_gram, k_sd, series_tail_bound  # noqa: F401
-from .signature import _kernel_tail, level_for_remainder, signature_gram
+from .signature import _check_same_dim, _kernel_tail, level_for_remainder, signature_gram
 
 
 @dataclass(frozen=True)
@@ -68,10 +68,11 @@ def _series_route(paths_a, paths_b, spec) -> Evaluation:
 
 
 def _signature_route(paths_a, paths_b, spec) -> Evaluation:
+    dim = _check_same_dim(paths_a, paths_b)
     level = spec.level
-    if level is None and paths_a and paths_b:  # found before the dimensions are compared, as kernel always has
+    if level is None:
         var_product = max(map(one_variation, paths_a)) * max(map(one_variation, paths_b))
-        level = level_for_remainder(var_product, paths_a[0].dim, spec.tol)
+        level = level_for_remainder(var_product, dim, spec.tol)
 
     def provenance(i, j):
         return level, _kernel_tail(one_variation(paths_a[i]) * one_variation(paths_b[j]), level)

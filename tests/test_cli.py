@@ -81,6 +81,17 @@ class TestKernelCommand:
         assert payload["tail_bound"] < 1e-8
         assert payload["value"] == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("tol", [[], ["--tol", "0"]])
+    def test_sig_truncated_dimension_mismatch_exits_2(self, tmp_path, capsys, tol):
+        # the dimensions are compared before a level is sought for the tolerance
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_path_csv(gen_fbm(0.75, 16, 5, 7), a)
+        write_path_csv(gen_fbm(0.75, 16, 2, 3), b)
+        assert main(["kernel", str(a), str(b), "--scheme", "sig_truncated", *tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "paths must share dimension" in captured.err
+
     def test_sig_truncated_scheme(self, tmp_path, capsys):
         a = write_line_csv(tmp_path, "a.csv", [0.8, 0.6])
         b = write_line_csv(tmp_path, "b.csv", [0.5, 1.0])
@@ -715,3 +726,25 @@ def test_grid_routes_leave_scipy_linalg_unloaded(tmp_path):
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     )
     assert proc.stderr.strip().splitlines()[-1] == "False"
+
+
+def test_converge_prints_the_same_bytes_on_sample_threads():
+    """``converge`` at the thread crossover N: with BLAS pinned to one
+    thread its samples run on threads (given two usable CPUs), unpinned
+    they run in turn, and stdout is the same bytes."""
+    from sigdev.randomdev import _THREADED_MIN_N
+
+    argv = [
+        sys.executable, "-m", "sigdev", "converge", "--fbm-dim", "2", "--fbm-points", "5",
+        "--lambda", "0", "--matrix-dim", str(_THREADED_MIN_N), "--mc-samples", "4",
+    ]
+    unpinned = {
+        k: v for k, v in os.environ.items()
+        if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS") and not k.startswith("SIGDEV_")
+    }
+    outputs = [
+        subprocess.run(argv, env=env, capture_output=True, check=True).stdout
+        for env in (unpinned | {"OPENBLAS_NUM_THREADS": "1"}, unpinned)
+    ]
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"\nmontecarlo,") == 1

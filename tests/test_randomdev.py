@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -21,8 +24,11 @@ from sigdev import (
     sigkernel_montecarlo,
     unitary_development,
 )
-from sigdev.randomdev import _expm, _powers, _word_degree, _word_products, _words
+from sigdev import randomdev
+from sigdev.randomdev import _THREADED_MIN_N, _expm, _powers, _sample_threads, _word_degree, _word_products, _words
 from sigdev.sdkernel import exact_straight_line
+
+from helpers import make_piecewise_linear
 
 
 def line(v):
@@ -325,6 +331,11 @@ class TestGlDevelopment:
         z = gl_development(IncrementSequence(np.array([[x]])), [np.array([[a]])], 1)
         assert z[0, 0] == pytest.approx(np.exp(a * x), abs=1e-12)
 
+    def test_size_check(self):
+        mats = sample_matrices(EnsembleConfig(COMPLEX_GINIBRE, 8, 1, 0, 1), 0)
+        with pytest.raises(DomainError):
+            gl_development(IncrementSequence(np.array([[1.0]])), mats, 6)
+
     def test_determinant_identity(self):
         cfg = EnsembleConfig(COMPLEX_GINIBRE, 12, 1, 5, 2)
         mats = sample_matrices(cfg, 0)
@@ -425,3 +436,106 @@ def test_overflowing_segment_is_refused_without_a_warning(estimate):
                 rk_montecarlo(wild, gue_cfg())
             else:
                 sigkernel_montecarlo(wild, line([1.0]), None, EnsembleConfig(COMPLEX_GINIBRE, 8, 2, 0, 1))
+
+
+class TestSampleThreads:
+    """The estimators' samples on several threads (``_each_sample``), forced
+    at small N by patching the thread rule; the calling thread takes
+    samples 0, 2, 4, ... and the other thread 1, 3, ..."""
+
+    @pytest.fixture()
+    def drawn_on(self, monkeypatch):
+        """Force two threads; record the thread that draws each sample."""
+        threads = {}
+
+        def recorded(cfg, sample_index, workspace=None, _draw=randomdev.sample_matrices):
+            threads[sample_index] = threading.get_ident()
+            return _draw(cfg, sample_index, workspace)
+
+        monkeypatch.setattr(randomdev, "_sample_threads", lambda samples, n_dim: 2)
+        monkeypatch.setattr(randomdev, "sample_matrices", recorded)
+        return threads
+
+    @pytest.mark.parametrize("samples", [1, 5])
+    def test_equal_to_one_thread(self, drawn_on, monkeypatch, samples):
+        gamma, sigma = make_piecewise_linear(1, 9, 2, 1.5), make_piecewise_linear(2, 4, 2, 1.0)
+        gue = EnsembleConfig(GUE, 12, samples, 3, 2)
+        ginibre = EnsembleConfig(COMPLEX_GINIBRE, 12, samples, 4, 2)
+        threaded = rk_montecarlo(gamma, gue), sigkernel_montecarlo(gamma, sigma, None, ginibre)
+        assert len(set(drawn_on.values())) == min(samples, 2)
+        monkeypatch.setattr(randomdev, "_sample_threads", lambda samples, n_dim: 1)
+        assert (rk_montecarlo(gamma, gue), sigkernel_montecarlo(gamma, sigma, None, ginibre)) == threaded
+
+    def test_more_threads_than_cores_switching_often(self, monkeypatch):
+        # a workspace shared between threads would mix their samples
+        gamma, sigma = make_piecewise_linear(3, 9, 2, 1.5), make_piecewise_linear(4, 6, 2, 1.0)
+        gue = EnsembleConfig(GUE, 12, 16, 5, 2)
+        ginibre = EnsembleConfig(COMPLEX_GINIBRE, 12, 16, 6, 2)
+        serial = rk_montecarlo(gamma, gue), sigkernel_montecarlo(gamma, sigma, None, ginibre)
+        monkeypatch.setattr(randomdev, "_sample_threads", lambda samples, n_dim: 5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = rk_montecarlo(gamma, gue), sigkernel_montecarlo(gamma, sigma, None, ginibre)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+
+    def test_worker_error_reaches_the_caller(self, drawn_on, monkeypatch):
+        errors = {s: NumericError(f"sample {s}") for s in (1, 2)}
+        draw = randomdev.sample_matrices
+
+        def failing(cfg, sample_index, workspace=None):
+            if sample_index in errors:
+                raise errors[sample_index]
+            return draw(cfg, sample_index, workspace)
+
+        monkeypatch.setattr(randomdev, "sample_matrices", failing)
+        before = threading.active_count()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError) as raised:
+                rk_montecarlo(line([1.0]), gue_cfg(samples_m=5))
+        # sample 1 is the other thread's, and the lowest that failed
+        assert raised.value is errors[1]
+        assert threading.active_count() == before
+
+    def test_overflow_on_two_threads(self, drawn_on):
+        before = threading.active_count()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError):
+                rk_montecarlo(line([1e50]), gue_cfg(samples_m=4))
+        assert threading.active_count() == before
+
+
+class TestSampleThreadRule:
+    """min(M, usable CPUs // BLAS threads per call) from N = _THREADED_MIN_N
+    on, with OpenBLAS's rule for the BLAS threads."""
+
+    @pytest.fixture(autouse=True)
+    def four_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+
+    def test_one_blas_thread_gives_the_usable_cpus(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert _sample_threads(64, _THREADED_MIN_N) == 4
+        assert _sample_threads(3, 200) == 3  # no more threads than samples
+        assert _sample_threads(64, _THREADED_MIN_N - 1) == 1  # small N stays serial
+
+    def test_unpinned_blas_stays_serial(self):
+        assert _sample_threads(64, 200) == 1
+
+    def test_omp_num_threads_is_the_fallback(self, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        assert _sample_threads(64, 200) == 2
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+        assert _sample_threads(64, 200) == 1
+
+    @pytest.mark.parametrize("value", ["", "two", "1.5", "0", "-1"])
+    @pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_malformed_values_give_one(self, monkeypatch, name, value):
+        monkeypatch.setenv(name, value)
+        assert _sample_threads(64, 200) == 1

@@ -519,8 +519,8 @@ class TestSplitGrids:
         for implicit, loop in ((False, _column_loop), (True, _row_loop)):
             grams = [gamma @ gamma.T, sigma @ sigma.T]
             own = backend._own_grids(grams, implicit, np.empty(0))
-            row = backend._side(gamma, grams[0], own[0], implicit, False)
-            column = backend._side(sigma, grams[1], own[1], implicit, True)
+            row = backend._side(gamma, grams[0], own[0], implicit, False, True)
+            column = backend._side(sigma, grams[1], own[1], implicit, True, True)
             got = np.zeros((m + s + 1,) * 2)
             got[: m + 1, : m + 1] = own[0]
             got[m:, m:] = own[1]
@@ -583,9 +583,9 @@ class TestSplitGrids:
         ``_grids`` batch."""
         solved, slots = [], []
 
-        def counted_sides(paths, implicit, column, workspace, _sides=backend._sides):
+        def counted_sides(paths, implicit, column, crossed, workspace, _sides=backend._sides):
             solved.extend(("column" if column else "row", id(deltas)) for deltas in paths)
-            return _sides(paths, implicit, column, workspace)
+            return _sides(paths, implicit, column, crossed, workspace)
 
         def counted_grids(grams, sizes, implicit, grids, _grids=backend._grids):
             slots.append(len(sizes))
