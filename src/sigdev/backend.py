@@ -1,9 +1,9 @@
 """Triangular-grid solvers for the quadratic functional equation.
 
 These O(n^3) recursions are the hot loops of the package.  They run on
-numpy/BLAS: each grid column (left-point) or row (right-point) is one
-BLAS product, in a fixed summation order, so the output is deterministic
-bit for bit.
+numpy/BLAS: each grid column (left-point) or row (right-point) is a fixed
+sequence of BLAS products, in a fixed summation order, so the output is
+deterministic bit for bit.
 
 Grid conventions, with increments ``D[k] = g(t[k+1]) - g(t[k])`` and
 ``gram[p, q] = <D[p], D[q]>``:
@@ -35,6 +35,44 @@ Grid conventions, with increments ``D[k] = g(t[k+1]) - g(t[k])`` and
   matrix writes its leading column as one product of the trailing part of
   the inverse (the rows r > i, already solved) with the leading column of
   T, which is the row form above.
+
+A grid of at most ``_BLOCK`` = B = 256 rows is one block: each column or
+row is one BLAS product over the whole block, of shape b x (b-1)
+(left-point) or (n-i-1) x (n-i) (right-point), half of it the zero
+triangle of K (K[a][p] = 0 for p < a, and the diagonal while it is 0).  A
+larger grid is solved block by block, each product skipping that triangle:
+
+* left-point, column b: one mat-vec per row block [r0, r1) of B rows, r0 a
+  multiple of B, ``K[r0:r1, r0:b-1] @ w[r0:]``, since the columns p < r0
+  are 0 in those rows.  The columns are taken in panels of ``_PANEL`` =
+  W = 64, and inside a panel the row blocks bottom-up, each for every
+  column of the panel, so a block's strip of K stays in cache across the
+  panel.  The block needs w[p] = K[p+1][b-1] gram[p, b-1] for p >= r0 only,
+  rows that it or the blocks below it have already solved.
+* right-point, row i: one vector-matrix product per column block [c0, c1)
+  of B columns counted from i+1, ``w[:depth] @ K[i+1:i+1+depth, c0:c1]``,
+  since the rows r >= c1 - 1 are 0 in those columns.  The last block takes
+  the rest of the row; a rest of one column joins the block before it,
+  whose product would otherwise be a dot product (``_row_blocks``).  depth
+  counts the rows below c1 - 1, then zero rows, to a count congruent to the
+  whole row's mod ``_ROW_GROUP`` = 16 with 16 zero rows or more
+  (``_depth``).  The rows are taken in panels of W, bottom-up, and inside a
+  panel the column blocks left to right, each for every row of the panel.
+
+Each block product adds the same nonzero terms, in the same groups of
+OpenBLAS's gemv kernels, as the product over the whole block: left-point
+row blocks start at a multiple of B, so every dot product keeps its
+alignment and its tail; right-point blocks are counted from the row's
+first cell and keep the row count's residue, so no nonzero term moves to
+a kernel's tail.  With BLAS on one thread both schemes are therefore equal
+bit for bit to the one-product-per-column (row) solve.  On more threads
+OpenBLAS may split a product over the whole block of n past about 700
+across them, which moves that solve's last bits, not the block products'.
+
+B >= 181 keeps a grid of more than one block alone in its batch: two grids
+of n + 1 >= 182 rows take more than the 2^16 cells of a batch (below).  A
+right-point grid fills the trailing block of its slot, so in a stack its
+block edges would fall elsewhere than in the grid solved alone.
 
 Many grids are solved together as one stack, one stacked ``np.matmul`` per
 column or row for every grid of the batch.  A zero increment makes its
@@ -97,7 +135,9 @@ of row paths only when they do not fit at once.
 
 A grid or Gram that is not finite (an increment too large to square)
 raises ``NumericError``; numpy's overflow warnings are silenced, since
-that check reports the failure.
+that check reports the failure.  ``sdkernel.grid_gram`` refuses, before
+any Gram or grid is formed, a pair whose grid of gamma * <-sigma would
+have more than ``_GRID_CELLS`` = 2^28 cells (n + 1 > 16384).
 """
 
 from __future__ import annotations
@@ -114,6 +154,10 @@ BACKEND = "numpy"  # the only backend; named in the benchmark's environment reco
 
 _BATCH_CELLS = 2**16
 _OWN_CELLS = 2**20
+_GRID_CELLS = 2**28
+_BLOCK = 256
+_PANEL = 64
+_ROW_GROUP = 16
 
 _Item = TypeVar("_Item")
 
@@ -161,32 +205,74 @@ def _stacks(count: int, n: int, workspace: np.ndarray) -> tuple[np.ndarray, np.n
     return grams, grids
 
 
+def _active(sizes: Sequence[int], n: int) -> list[int]:
+    """For each step t = 0..n, how many grids of the stack have at least t
+    jumps: the prefix that a column b = t (left-point) or a row i = n - t
+    (right-point) still solves."""
+    return np.searchsorted(-np.asarray(sizes), -np.arange(n + 1), side="right").tolist()
+
+
 def _explicit_stack(grams: np.ndarray, sizes: Sequence[int], grids: np.ndarray) -> None:
     n = grams.shape[1]
     grids[:, range(n + 1), range(n + 1)] = 1.0
-    active = len(sizes)
-    for b in range(1, n + 1):
-        while sizes[active - 1] < b:
-            active -= 1
-        grid = grids[:active]
-        weights = grid[:, 1:b, b - 1 : b] * grams[:active, 0 : b - 1, b - 1 : b]
-        grid[:, 0:b, b : b + 1] = grid[:, 0:b, b - 1 : b] - grid[:, 0:b, 0 : b - 1] @ weights
+    active = _active(sizes, n)
+    for c0 in range(1, n + 1, _PANEL):
+        c1 = min(c0 + _PANEL, n + 1)
+        # column b reads rows 0..b-1; row block r0 skips the columns p < r0, where K[a][p] = 0
+        for r0 in range((c1 - 2) // _BLOCK * _BLOCK, -1, -_BLOCK):
+            for b in range(max(c0, r0 + 1), c1):
+                r1 = min(r0 + _BLOCK, b)
+                grid = grids[: active[b]]
+                weights = grid[:, r0 + 1 : b, b - 1 : b] * grams[: len(grid), r0 : b - 1, b - 1 : b]
+                grid[:, r0:r1, b : b + 1] = grid[:, r0:r1, b - 1 : b] - grid[:, r0:r1, r0 : b - 1] @ weights
+
+
+def _row_blocks(width: int) -> int:
+    """Column blocks of a right-point row of ``width`` cells: ``_BLOCK``
+    wide, the last one taking a remainder of one column, whose product
+    would be a dot product, not a gemv."""
+    return max(1, (width - 2) // _BLOCK + 1)
+
+
+def _depth(rows: int, needed: int) -> int:
+    """Rows of a right-point block product, where the product over the
+    whole row has ``rows`` rows: the ``needed`` rows that can be nonzero in
+    the block's columns, then zero rows, to a count congruent to ``rows``
+    mod ``_ROW_GROUP`` with at least ``_ROW_GROUP`` zero rows.  BLAS then
+    takes every nonzero row in the same group of its gemv kernel as the
+    product over the whole row does."""
+    return rows - _ROW_GROUP * max(0, (rows - needed) // _ROW_GROUP - 1)
 
 
 def _implicit_stack(grams: np.ndarray, sizes: Sequence[int], grids: np.ndarray) -> None:
     n = grams.shape[1]
     divisors = 1.0 + np.diagonal(grams, axis1=1, axis2=2)  # 1 + gram[i, i], every row at once
+    active = _active(sizes, n)
     # The diagonal stays 0 until the end, so each product sees only r < b;
     # the row's first entry gets the K[i+1][i+1] = 1 it leaves out.
-    active = len(sizes)
-    for i in range(n - 1, -1, -1):
-        while sizes[active - 1] < n - i:
-            active -= 1
-        grid = grids[:active]
-        weights = grid[:, i + 1 : i + 2, i + 2 :] * grams[:active, i : i + 1, i + 1 :]
-        row = grid[:, i + 1 : i + 2, i + 1 :] - weights @ grid[:, i + 1 : n, i + 1 :]
-        row[:, :, 0] += 1.0
-        grid[:, i : i + 1, i + 1 :] = row / divisors[:active, i, None, None]
+    for i1 in range(n, 0, -_PANEL):
+        i0 = max(i1 - _PANEL, 0)
+        for block in range(_row_blocks(n - i0)):
+            start = block * _BLOCK
+            for i in range(i1 - 1, i0 - 1, -1):
+                width = n - i
+                last = _row_blocks(width) - 1
+                if block > last:  # K[i][i+1..n] ends before this block
+                    continue
+                c0 = i + 1 + start
+                if block == last:
+                    c1, depth = n + 1, width - 1
+                else:
+                    c1 = c0 + _BLOCK
+                    depth = _depth(width - 1, c1 - i - 2)
+                count = active[width]
+                grid = grids[:count]
+                below = grid[:, i + 1 : i + 2]
+                weights = below[:, :, i + 2 : i + 2 + depth] * grams[:count, i : i + 1, i + 1 : i + 1 + depth]
+                row = below[:, :, c0:c1] - weights @ grid[:, i + 1 : i + 1 + depth, c0:c1]
+                if block == 0:
+                    row[:, :, 0] += 1.0
+                grid[:, i : i + 1, c0:c1] = row / divisors[:count, i, None, None]
     grids[:, range(n + 1), range(n + 1)] = 1.0
 
 
@@ -204,13 +290,16 @@ def _grids(grams: np.ndarray, sizes: Sequence[int], implicit: bool, grids: np.nd
 
 
 def explicit_grid(gram: np.ndarray) -> np.ndarray:
-    """Left-point grid via one BLAS mat-vec per column."""
+    """Left-point grid via one BLAS mat-vec per column and block of
+    ``_BLOCK`` rows, in panels of ``_PANEL`` columns (module docstring)."""
     size = gram.shape[0] + 1
     return _grids(gram[None], (size - 1,), False, np.zeros((1, size, size)))[0]
 
 
 def implicit_grid(gram: np.ndarray) -> np.ndarray:
-    """Right-point grid via one BLAS vector-matrix product per row."""
+    """Right-point grid via one BLAS vector-matrix product per row and
+    block of ``_BLOCK`` columns, in panels of ``_PANEL`` rows (module
+    docstring)."""
     size = gram.shape[0] + 1
     return _grids(gram[None], (size - 1,), True, np.zeros((1, size, size)))[0]
 

@@ -26,9 +26,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .backend import _GRID_CELLS
 from .errors import DomainError, NumericError, ResourceLimitError
 from .mmd import KERNELS, KernelSpec, PathSample, gram, mmd2, resolve_kernel
-from .paths import Path, _finite_deltas, gen_fbm, read_path_csv, read_paths_jsonl, scaled, write_path_csv
+from .paths import Path, _refined_deltas, gen_fbm, read_path_csv, read_paths_jsonl, scaled, write_path_csv
 from .randomdev import GUE, EnsembleConfig, rk_montecarlo
 from .sdkernel import semicircle_charfn, series_oracle
 
@@ -117,7 +118,8 @@ def cmd_converge(args) -> int:
         raise DomainError(f"converge needs a grid scheme ({', '.join(_GRID_KERNELS)}), not {args.scheme!r}")
     path = _load_converge_path(args)
     tol = args.tol if args.tol is not None else 1e-8
-    _finite_deltas(path)  # refuse an overflowing segment before any route runs
+    # refuse an overflowing segment, or a largest grid past the budget, before any route runs
+    _refined_deltas(path, dyadic_order=max(args.dyadic, default=0), max_cells=_GRID_CELLS)
     if path.dim == 1:
         with np.errstate(over="ignore"):
             displacement = abs(float(path.displacement[0]))

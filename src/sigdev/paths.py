@@ -259,7 +259,9 @@ def _finite_deltas(path: Path) -> np.ndarray:
     return deltas
 
 
-def _refined_deltas(path: Path, mesh: float | None = None, dyadic_order: int = 0) -> np.ndarray:
+def _refined_deltas(
+    path: Path, mesh: float | None = None, dyadic_order: int = 0, max_cells: int | None = None
+) -> np.ndarray:
     """Increments of the path's piecewise-constant approximation, refined
     per ``mesh`` (target per-interval 1-variation) when given, else per
     ``dyadic_order``: segment k, increment D[k], becomes s_k equal jumps
@@ -272,10 +274,15 @@ def _refined_deltas(path: Path, mesh: float | None = None, dyadic_order: int = 0
     formed.  Division by a power of two is exact, so order λ + 1's jumps
     are order λ's halved and each repeated twice, bit for bit.  Shape
     (sum s_k, d); a one-point path has none.
+
+    With ``max_cells``, a path whose own grid of n jumps would have more
+    than ``max_cells`` cells, (n+1)^2, is refused before its jumps are
+    formed.
     """
     deltas = _finite_deltas(path)
     if mesh is not None:
         splits = _variation_splits(deltas, mesh)
+        _check_grid_cells(int(splits.sum()), max_cells)
         return np.repeat(deltas / splits[:, None], splits, axis=0)
     if dyadic_order < 0 or int(dyadic_order) != dyadic_order:
         raise DomainError("dyadic order must be a nonnegative integer")
@@ -284,7 +291,18 @@ def _refined_deltas(path: Path, mesh: float | None = None, dyadic_order: int = 0
     if len(deltas) >= 2.0 ** (62 - dyadic_order):  # as refine_to_variation's knot check
         raise ResourceLimitError(f"dyadic order {dyadic_order!r} needs too many knots")
     splits = 2 ** int(dyadic_order)
+    _check_grid_cells(len(deltas) * splits, max_cells)
     return np.repeat(deltas / float(splits), splits, axis=0)
+
+
+def _check_grid_cells(jumps: int, max_cells: int | None) -> None:
+    """Refuse a grid of n = ``jumps`` jumps whose (n+1)^2 cells are more
+    than ``max_cells``, when given."""
+    if max_cells is not None and (jumps + 1) ** 2 > max_cells:
+        raise ResourceLimitError(
+            f"a grid of n = {jumps} jumps has (n+1)^2 = {(jumps + 1) ** 2} cells, over the "
+            f"{max_cells} cell budget of a grid kernel"
+        )
 
 
 def scaled(path: Path, factor: float) -> Path:

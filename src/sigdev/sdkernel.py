@@ -26,7 +26,7 @@ import numpy as np
 
 from . import backend
 from .errors import DomainError, ResourceLimitError
-from .paths import IncrementSequence, Path, _refined_deltas, one_variation
+from .paths import IncrementSequence, Path, _check_grid_cells, _refined_deltas, one_variation
 from .signature import (
     _check_feature_budget,
     _check_same_dim,
@@ -360,15 +360,19 @@ def grid_gram(
     solved alone (``k_sd``) bit for bit, and the whole grid (``solve_*``)
     up to rounding.  The own grids kept alive are bounded by a fixed
     budget; past it the paths are taken in chunks.  Raises
-    ``NumericError`` when a Gram or grid overflows.
+    ``ResourceLimitError`` when the grid of a pair would have more than
+    2^28 cells, before any Gram or grid is formed, and ``NumericError``
+    when a Gram or grid overflows.
     """
     if scheme not in ("explicit", "implicit"):
         raise DomainError(f"unknown grid scheme {scheme!r}; choose from explicit, implicit")
     _check_same_dim(paths_a, paths_b)
     implicit = scheme == "implicit"
     same = paths_b is paths_a
-    rows = [_refined_deltas(p, mesh, dyadic_order) for p in paths_a]
-    columns = [_reversed(d) for d in (rows if same else [_refined_deltas(p, mesh, dyadic_order) for p in paths_b])]
+    cells = backend._GRID_CELLS
+    rows = [_refined_deltas(p, mesh, dyadic_order, cells) for p in paths_a]
+    columns = [_reversed(d) for d in (rows if same else [_refined_deltas(p, mesh, dyadic_order, cells) for p in paths_b])]
+    _check_grid_cells(max(map(len, rows), default=0) + max(map(len, columns), default=0), cells)
     pairs = [(i, j) for j in range(len(paths_b)) for i in range(j + 1 if same else len(paths_a))]
     values = np.empty((len(paths_a), len(paths_b)))
     for (i, j), value in zip(pairs, backend._pair_values(rows, columns, pairs, implicit)):

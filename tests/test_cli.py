@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -327,6 +328,47 @@ class TestOverflowingSegmentExits2:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+class TestGridBudgetExits3:
+    """A grid kernel whose grid of gamma * <-sigma would have more than the
+    cell budget is refused before its jumps, Grams or grids are formed:
+    exit 3, one error line naming n and the budget, and no large
+    allocation.  A path whose own grid is past the budget is refused as it
+    is refined, with its own n."""
+
+    PATH = gen_fbm(0.75, 16, 2, 7)  # the README's genfbm --points 16 --dim 2 --seed 7, 15 segments
+
+    @pytest.mark.parametrize(
+        "argv, n",
+        [
+            (["kernel", "a.csv", "a.csv", "--scheme", "explicit", "--lambda", "14"], 15 * 2**14),
+            # a pair past the budget whose paths, 15 * 2^10 jumps each, are within it
+            (["kernel", "a.csv", "a.csv", "--scheme", "implicit", "--lambda", "10"], 30 * 2**10),
+            # refused before the series reference, which cannot reach the tolerance on this path
+            (["converge", "a.csv", "--lambda", "0..14"], 15 * 2**14),
+            # about 2.6e9 jumps at mesh 1e-9
+            (["gram", "a.jsonl", "--kernel", "sd_explicit", "--mesh", "1e-9"], None),
+        ],
+    )
+    def test_refused_with_one_error_line(self, tmp_path, capsys, argv, n):
+        write_path_csv(self.PATH, tmp_path / "a.csv")
+        write_paths_jsonl(["a"], [self.PATH], tmp_path / "a.jsonl")
+        argv = [str(tmp_path / a) if a.endswith((".csv", ".jsonl")) else a for a in argv]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: a grid of n = ") and f"over the {backend._GRID_CELLS} cell budget" in line
+        jumps = int(line.split("n = ")[1].split()[0])
+        assert jumps == n if n is not None else jumps > 10**9
+        assert peak < 2**24
 
 
 class TestSampleCommands:

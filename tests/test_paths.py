@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -287,6 +288,22 @@ class TestRefinedDeltas:
                 halved = np.repeat(deltas / 2.0, 2, axis=0)
                 deltas = _refined_deltas(path, dyadic_order=order)
                 assert np.array_equal(deltas, halved)
+
+    def test_a_path_past_the_grid_budget_is_refused_before_its_jumps_are_formed(self):
+        # (n+1)^2 cells for the path's own grid of n jumps
+        for kwargs, n in (({"mesh": 0.25}, 4), ({"dyadic_order": 2}, 4)):
+            assert len(_refined_deltas(line([1.0]), max_cells=25, **kwargs)) == n
+            with pytest.raises(ResourceLimitError, match="n = 4 .* 24 cell budget"):
+                _refined_deltas(line([1.0]), max_cells=24, **kwargs)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                _refined_deltas(line([1.0, 1.0]), 1e-12, max_cells=2**28)
+            with pytest.raises(ResourceLimitError):
+                _refined_deltas(line([1.0, 1.0]), dyadic_order=40, max_cells=2**28)
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
 
     def test_one_point_and_zero_length_segments(self):
         point = Path([0.5], [[1.0, 2.0]])

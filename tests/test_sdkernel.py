@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 from collections import Counter
 from functools import lru_cache
@@ -281,6 +285,78 @@ class TestBatchedGrids:
         for bad in (np.nan, np.inf):
             with pytest.raises(DomainError):
                 SolutionGrid(np.array([[1.0, bad], [0.0, 1.0]]))
+
+
+class TestPanelledGrids:
+    """Grids of more than one block of rows, solved in panels that skip the
+    zero triangle, equal the one-product-per-column (row) loops bit for bit."""
+
+    B, W = backend._BLOCK, backend._PANEL
+
+    def test_equal_the_per_grid_loops_on_one_blas_thread(self):
+        # Pinned: on more threads OpenBLAS splits a whole-block product of n
+        # past about 700 across them, which moves the loops' last bits.  n =
+        # 2B + 5 has rows of B + 1 columns, whose last column joins the block before.
+        sizes = [self.B - 1, self.B, self.B + 1, self.B + self.W + 1, 2 * self.B + 5, 2 * self.B + self.W + 3, 960]
+        probe = (
+            "import sys, numpy as np\n"
+            f"sys.path.insert(0, {str(pathlib.Path(__file__).parent)!r})\n"
+            "from test_sdkernel import _column_loop, _row_loop\n"
+            "from sigdev import backend\n"
+            f"for n in {sizes}:\n"
+            "    deltas = np.random.default_rng(n).normal(size=(n, 2)) * (1.5 / n) ** 0.5\n"
+            "    gram = deltas @ deltas.T\n"
+            "    assert np.array_equal(backend.explicit_grid(gram), _column_loop(gram)), n\n"
+            "    assert np.array_equal(backend.implicit_grid(gram), _row_loop(gram)), n\n"
+        )
+        env = os.environ | {"OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_a_last_block_of_one_column_joins_the_block_before(self):
+        assert [backend._row_blocks(w) for w in (1, 2, self.B, self.B + 1, self.B + 2)] == [1, 1, 1, 1, 2]
+
+    @pytest.mark.parametrize("solver, size", [(solve_explicit, 1e100), (solve_explicit, 1e200), (solve_implicit, 1e200)])
+    def test_overflow_past_one_block_is_a_numeric_error(self, solver, size):
+        deltas = np.zeros((self.B + 1, 1))
+        deltas[::2], deltas[1::2] = size, -size
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericError):
+                solver(IncrementSequence(deltas))
+
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    def test_gram_entries_past_one_block_equal_k_sd(self, scheme):
+        # 20 segments at dyadic order 4: own grids of 320 jumps, each solved alone
+        gamma, sigma = make_piecewise_linear(50, 20, 2, 0.5), make_piecewise_linear(51, 20, 2, 0.5)
+        values = grid_gram((gamma,), (gamma, sigma), scheme, dyadic_order=4)
+        assert values[0, 0] == k_sd(gamma, gamma, scheme, dyadic_order=4)
+        assert values[0, 1] == k_sd(gamma, sigma, scheme, dyadic_order=4)
+
+    def test_a_grid_past_one_block_is_batched_alone(self):
+        # two grids of B + 1 >= 182 rows pass the batch budget, so block edges never depend on a stack
+        assert self.B >= 181 and 2 * 182**2 > backend._BATCH_CELLS
+        sizes = [300, 257, 182, 181, 181, 90, 257, 3, 256, 2, 200, 200]
+        for batch in backend._batched((s, s) for s in sizes):
+            assert len(batch) == 1 or max(batch) <= self.B
+
+
+class TestGridBudget:
+    def test_budget_is_on_the_cells_of_the_pair_grid(self, monkeypatch):
+        segment = line([1.0])  # 2 jumps at dyadic order 1, own grids of 9 cells
+        monkeypatch.setattr(backend, "_GRID_CELLS", 25)  # the pair's n = 2 + 2, (n+1)^2 = 25
+        assert grid_gram((segment,), (segment,), "explicit", dyadic_order=1)[0, 0] == k_sd(
+            segment, segment, "explicit", dyadic_order=1
+        )
+
+        def pair_values(*args):
+            raise AssertionError("solved past the budget")
+
+        monkeypatch.setattr(backend, "_GRID_CELLS", 24)
+        monkeypatch.setattr(backend, "_pair_values", pair_values)  # refused before any Gram is formed
+        for scheme in ("explicit", "implicit"):
+            with pytest.raises(ResourceLimitError, match="n = 4 .* 24 cell budget"):
+                grid_gram((segment,), (segment,), scheme, dyadic_order=1)
 
 
 class TestGridInvariants:
