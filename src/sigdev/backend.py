@@ -36,6 +36,14 @@ Grid conventions, with increments ``D[k] = g(t[k+1]) - g(t[k])`` and
   the inverse (the rows r > i, already solved) with the leading column of
   T, which is the row form above.
 
+Each scheme has one loop, ``_explicit_stack`` or ``_implicit_stack``,
+which solves a stack of own grids or a stack of the rectangles of path
+pairs (below); the shapes of its stacks tell which.  Each step reads its
+weights from one row of the Gram stack, formed once, in place: left-point
+column c+1 reads w[p] = K[p+1][c] gram[c, p], p < c, from row c, below the
+diagonal; right-point row i reads w[r] = K[i+1][r+1] gram[i, r], r > i,
+from row i, above it.  A solved Gram holds its grid's weights there.
+
 A grid of at most ``_BLOCK`` = B = 256 rows is one block: each column or
 row is one BLAS product over the whole block, of shape b x (b-1)
 (left-point) or (n-i-1) x (n-i) (right-point), half of it the zero
@@ -44,20 +52,24 @@ larger grid is solved block by block, each product skipping that triangle:
 
 * left-point, column b: one mat-vec per row block [r0, r1) of B rows, r0 a
   multiple of B, ``K[r0:r1, r0:b-1] @ w[r0:]``, since the columns p < r0
-  are 0 in those rows.  The columns are taken in panels of ``_PANEL`` =
-  W = 64, and inside a panel the row blocks bottom-up, each for every
-  column of the panel, so a block's strip of K stays in cache across the
-  panel.  The block needs w[p] = K[p+1][b-1] gram[p, b-1] for p >= r0 only,
-  rows that it or the blocks below it have already solved.
+  are 0 in those rows.  The last block of the slot's rows takes their
+  rest; a rest of one row joins the block before it (``_row_blocks``).
+  The columns are taken in panels of ``_PANEL`` = W = 64, and inside a
+  panel the row blocks bottom-up, each for every column of the panel, so a
+  block's strip of K stays in cache across the panel.  The block forms
+  w[p] for its own rows p, from K[p+1][b-1], which it or the block below
+  has solved; the blocks below have formed the rest.
 * right-point, row i: one vector-matrix product per column block [c0, c1)
-  of B columns counted from i+1, ``w[:depth] @ K[i+1:i+1+depth, c0:c1]``,
-  since the rows r >= c1 - 1 are 0 in those columns.  The last block takes
-  the rest of the row; a rest of one column joins the block before it,
-  whose product would otherwise be a dot product (``_row_blocks``).  depth
-  counts the rows below c1 - 1, then zero rows, to a count congruent to the
-  whole row's mod ``_ROW_GROUP`` = 16 with 16 zero rows or more
-  (``_depth``).  The rows are taken in panels of W, bottom-up, and inside a
-  panel the column blocks left to right, each for every row of the panel.
+  of B columns counted from the row's first cell,
+  ``w[:depth] @ K[i+1:i+1+depth, c0:c1]``, since the rows r >= c1 - 1 are
+  0 in those columns.  The last block takes the rest of the row; a rest of
+  one column joins the block before it, whose product would otherwise be a
+  dot product (``_row_blocks``).  depth counts the rows below c1 - 1, then
+  zero rows, to a count congruent to the whole row's mod ``_ROW_GROUP`` =
+  16 with 16 zero rows or more (``_depth``).  A block forms the weights of
+  the rows r < c1 - 1 that the blocks before it have not, never those of
+  the zero rows.  The rows are taken in panels of W, bottom-up, and inside
+  a panel the column blocks left to right, each for every row of the panel.
 
 Each block product adds the same nonzero terms, in the same groups of
 OpenBLAS's gemv kernels, as the product over the whole block: left-point
@@ -65,9 +77,10 @@ row blocks start at a multiple of B, so every dot product keeps its
 alignment and its tail; right-point blocks are counted from the row's
 first cell and keep the row count's residue, so no nonzero term moves to
 a kernel's tail.  With BLAS on one thread both schemes are therefore equal
-bit for bit to the one-product-per-column (row) solve.  On more threads
-OpenBLAS may split a product over the whole block of n past about 700
-across them, which moves that solve's last bits, not the block products'.
+bit for bit to the one-product-per-column (row) solve, own grids and
+rectangles alike.  On more threads OpenBLAS may split a product over the
+whole block of n past about 700 across them, which moves that solve's
+last bits, not the block products'.
 
 B >= 181 keeps a grid of more than one block alone in its batch: two grids
 of n + 1 >= 182 rows take more than the 2^16 cells of a batch (below).  A
@@ -75,7 +88,8 @@ right-point grid fills the trailing block of its slot, so in a stack its
 block edges would fall elsewhere than in the grid solved alone.
 
 Many grids are solved together as one stack, one stacked ``np.matmul`` per
-column or row for every grid of the batch.  A zero increment makes its
+column or row and block for every grid of the batch: a (count, n, n) Gram
+stack and a (count, n+1, n+1) grid stack.  A zero increment makes its
 column (left-point) or row (right-point) an exact copy of the one before,
 so a grid padded with zero increments up to the batch's largest n has the
 same value: the padding goes at the end for left-point, where the grid
@@ -84,8 +98,9 @@ where it fills the trailing block.  Those copies are never computed: the
 grids are sorted by n, largest first, so the grids still being solved are
 a prefix of the stack, and each step runs on that prefix only.  Every
 grid's block is then made by the same BLAS calls, with the same shapes, as
-the grid solved alone, so it is equal bit for bit.  ``explicit_grid`` and
-``implicit_grid`` are the one-grid case.
+the grid solved alone, so it is equal bit for bit.  A batch of one grid is
+solved in place on its Gram; ``explicit_grid`` and ``implicit_grid`` solve
+a copy of theirs.
 
 A batch's grid stack holds at most ``_BATCH_CELLS`` = 2^16 float64 cells
 (512 KiB), unless it holds a single grid; its Gram stack is no larger.
@@ -98,23 +113,28 @@ increments of gamma * <-sigma are gamma's m jumps, then the s jumps of
 the block of rows and columns 0..m is gamma's own grid and the block
 m..n is <-sigma's own grid.  Each path's own grid is solved once per Gram
 and side, in the batches above, and kept as a ``_Side``.  Per pair only
-the rectangle of rows 0..m-1 and columns m+1..n is solved:
+the rectangle of rows 0..m-1 and columns m+1..n is solved, by the same
+loop as the own grids, from a stack that holds the parts of the pair's
+grid and weights that it reads:
 
-* left-point, column by column: column b of the rectangle is column b-1
-  minus one mat-vec of shape m x (b-1), K[0..m-1][0..b-2] @ w with
-  w[p] = K[p+1][b-1] gram[p, b-1].  The first m entries of w are the
-  pair's (the cross Gram <D_gamma[p], D_sigma[q]> times the rectangle's
-  column b-1, or sigma's K[0] for the row K[m]); the rest are sigma's own
-  weights.  Pairs are batched by m, each in the leading block of its slot,
-  sorted by s, largest first, so a step runs on the active prefix.
-* right-point, row by row, bottom-up: row i of the rectangle is
-  (row i+1 - w @ K[i+1..n-1][m+1..n]) / (1 + gram[i, i]), one
-  vector-matrix product of shape (n-i-1) x s, with w[r] = K[i+1][r+1]
-  gram[i, r]: gamma's own weights for r < m, the pair's for r >= m.  The
-  matrix's rows r >= m are sigma's own grid, whose diagonal r = b stays 0
-  during the solve, as the whole grid's does, so the sum runs over r < b
-  only.  Pairs are batched by s, each in the trailing block of its slot
-  (its bottom row on the slot's last), sorted by m, largest first.
+* left-point: a (count, s, n) weight stack, held column by column
+  (``_explicit_rectangles``), and a (count, m+1, n+1) grid stack.  The
+  loop solves the columns from n + 1 - s = m + 1 and the rows 0..m-1
+  above the grid stack's last row, which holds <-sigma's K[0].  The grid
+  stack's rows 0..m-1 start with gamma's rows K[0..m-1][0..m].  The weight
+  stack's row c is gram[m+c, p]: the cross Gram <D_sigma[c], D_gamma[p]>
+  for p < m, which the loop turns into weights, then row c of <-sigma's
+  solved Gram, its weights already.  Pairs are batched by m, each in the
+  leading block of its slot, sorted by s, largest first.
+* right-point: a (count, m, n) weight stack and a (count, n, s) grid stack.
+  The loop solves the rows 0..m-1 of the weight stack and the columns from
+  n + 1 - s = m + 1, the grid stack's s columns.  The weight stack's rows
+  are gamma's solved Gram, whose diagonal gives the divisors, then the
+  cross Gram, which the loop turns into weights.  The grid stack's rows
+  m..n-1 are <-sigma's own grid, whose diagonal r = b stays 0 during the
+  solve, as the whole grid's does, so each product runs over r < b only.
+  Pairs are batched by s, each in the trailing block of its slot (its
+  bottom row on the slot's last), sorted by m, largest first.
 
 In both schemes a pair's BLAS shapes depend only on its batch key, its own
 sizes and the step, never on the rest of the batch, so every Gram entry
@@ -122,7 +142,8 @@ equals the pair solved alone (``k_sd`` runs ``_pair_values`` on its one
 pair) bit for bit; zero padding inside a product would not keep that.  A
 pair costs about s (left-point) or m (right-point) stacked steps and
 m s (m + s/2) or m s (s + m/2) multiply-adds, where the whole grid takes
-n steps and n^3/3 (44 % fewer at m = s).
+n steps and n^3/3 (44 % fewer at m = s); a rectangle past one block skips
+gamma's zero triangle as an own grid does.
 
 Each stack of a rectangle batch holds at most ``_BATCH_CELLS`` cells
 unless the batch holds a single pair, and a Gram's batches, own grids and
@@ -213,25 +234,35 @@ def _active(sizes: Sequence[int], n: int) -> list[int]:
 
 
 def _explicit_stack(grams: np.ndarray, sizes: Sequence[int], grids: np.ndarray) -> None:
-    n = grams.shape[1]
-    grids[:, range(n + 1), range(n + 1)] = 1.0
-    active = _active(sizes, n)
-    for c0 in range(1, n + 1, _PANEL):
+    width, n = grams.shape[1:]  # one weight row per column solved
+    first = n + 1 - width  # the first column solved: 1 for own grids, m + 1 for rectangles
+    height = grids.shape[1] - 1  # the rows solved: every row of an own grid, 0..m-1 of a rectangle
+    diagonal = np.arange(height + 1)  # an array indexes faster than a range
+    grids[:, diagonal, diagonal] = 1.0
+    active = _active(sizes, width)
+    top = (_row_blocks(height) - 1) * _BLOCK  # the last row block
+    for c0 in range(first, n + 1, _PANEL):
         c1 = min(c0 + _PANEL, n + 1)
-        # column b reads rows 0..b-1; row block r0 skips the columns p < r0, where K[a][p] = 0
-        for r0 in range((c1 - 2) // _BLOCK * _BLOCK, -1, -_BLOCK):
+        # column b solves rows 0..min(b, height)-1; row block r0 skips the columns p < r0, where K[a][p] = 0
+        for r0 in range(min((min(c1 - 1, height) - 1) // _BLOCK * _BLOCK, top), -1, -_BLOCK):
             for b in range(max(c0, r0 + 1), c1):
-                r1 = min(r0 + _BLOCK, b)
-                grid = grids[: active[b]]
-                weights = grid[:, r0 + 1 : b, b - 1 : b] * grams[: len(grid), r0 : b - 1, b - 1 : b]
-                grid[:, r0:r1, b : b + 1] = grid[:, r0:r1, b - 1 : b] - grid[:, r0:r1, r0 : b - 1] @ weights
+                # per-step bounds by conditional expressions, which cost less than min()
+                r1 = b if b < height else height
+                if r0 != top and r1 > r0 + _BLOCK:
+                    r1 = r0 + _BLOCK
+                count, c = active[b - first + 1], b - first  # c: the weight row
+                # this block's weights; the blocks below formed the rest, a rectangle's p >= m come formed
+                formed = r1 if r1 < b else b - 1
+                grams[:count, c, r0:formed] *= grids[:count, r0 + 1 : formed + 1, b - 1]
+                product = grids[:count, r0:r1, r0 : b - 1] @ grams[:count, c : c + 1, r0 : b - 1].mT
+                grids[:count, r0:r1, b : b + 1] = grids[:count, r0:r1, b - 1 : b] - product
 
 
 def _row_blocks(width: int) -> int:
-    """Column blocks of a right-point row of ``width`` cells: ``_BLOCK``
-    wide, the last one taking a remainder of one column, whose product
-    would be a dot product, not a gemv."""
-    return max(1, (width - 2) // _BLOCK + 1)
+    """Blocks of ``_BLOCK`` rows of a left-point grid slot, or columns of a
+    right-point row, of ``width`` cells, the last one taking a remainder of
+    one, whose product would be a dot product, not a gemv."""
+    return (width - 2) // _BLOCK + 1 if width > 1 else 1
 
 
 def _depth(rows: int, needed: int) -> int:
@@ -245,43 +276,45 @@ def _depth(rows: int, needed: int) -> int:
 
 
 def _implicit_stack(grams: np.ndarray, sizes: Sequence[int], grids: np.ndarray) -> None:
-    n = grams.shape[1]
+    rows, n = grams.shape[1:]
+    offset = n + 1 - grids.shape[2]  # the first column held: 0 for own grids, m + 1 for rectangles
     divisors = 1.0 + np.diagonal(grams, axis1=1, axis2=2)  # 1 + gram[i, i], every row at once
-    active = _active(sizes, n)
+    active = _active(sizes, rows)
     # The diagonal stays 0 until the end, so each product sees only r < b;
-    # the row's first entry gets the K[i+1][i+1] = 1 it leaves out.
-    for i1 in range(n, 0, -_PANEL):
+    # an own grid's row gets in its first cell the K[i+1][i+1] = 1 it leaves out.
+    for i1 in range(rows, 0, -_PANEL):
         i0 = max(i1 - _PANEL, 0)
-        for block in range(_row_blocks(n - i0)):
-            start = block * _BLOCK
+        for block in range(_row_blocks(n + 1 - max(i0 + 1, offset))):
             for i in range(i1 - 1, i0 - 1, -1):
-                width = n - i
-                last = _row_blocks(width) - 1
-                if block > last:  # K[i][i+1..n] ends before this block
+                first = i + 1 if i >= offset else offset  # the row's first cell
+                last = _row_blocks(n + 1 - first) - 1
+                if block > last:  # K[i][first..n] ends before this block
                     continue
-                c0 = i + 1 + start
+                c0 = first + block * _BLOCK
                 if block == last:
-                    c1, depth = n + 1, width - 1
+                    c1, depth = n + 1, n - i - 1
                 else:
                     c1 = c0 + _BLOCK
-                    depth = _depth(width - 1, c1 - i - 2)
-                count = active[width]
-                grid = grids[:count]
-                below = grid[:, i + 1 : i + 2]
-                weights = below[:, :, i + 2 : i + 2 + depth] * grams[:count, i : i + 1, i + 1 : i + 1 + depth]
-                row = below[:, :, c0:c1] - weights @ grid[:, i + 1 : i + 1 + depth, c0:c1]
-                if block == 0:
+                    depth = _depth(n - i - 1, c1 - i - 2)
+                count, cells = active[rows - i], slice(c0 - offset, c1 - offset)
+                # the weights of the rows r < c1 - 1 that the blocks before left; a rectangle's r < m come formed
+                lo = c0 - 1 if c0 > i + 1 else c0
+                grams[:count, i, lo : c1 - 1] *= grids[:count, i + 1, lo + 1 - offset : c1 - offset]
+                product = grams[:count, i : i + 1, i + 1 : i + 1 + depth] @ grids[:count, i + 1 : i + 1 + depth, cells]
+                row = grids[:count, i + 1 : i + 2, cells] - product
+                if c0 == i + 1:
                     row[:, :, 0] += 1.0
-                grid[:, i : i + 1, c0:c1] = row / divisors[:count, i, None, None]
-    grids[:, range(n + 1), range(n + 1)] = 1.0
+                grids[:count, i : i + 1, cells] = row / divisors[:count, i, None, None]
+    if not offset:  # an own grid's diagonal, 0 during the solve; a rectangle holds none of its own
+        diagonal = np.arange(n + 1)
+        grids[:, diagonal, diagonal] = 1.0
 
 
 def _grids(grams: np.ndarray, sizes: Sequence[int], implicit: bool, grids: np.ndarray) -> np.ndarray:
-    """Solve the grids of a (count, n, n) stack of Grams into ``grids``, a
-    zeroed (count, n+1, n+1) stack, and return it.  ``sizes`` holds each
-    pair's n, largest first; pair k's Gram is ``_block(grams, k, sizes[k],
-    implicit)`` and the rest of its slot is zero.  Its grid is the block of
-    size sizes[k] + 1."""
+    """Solve a batch of own grids or of rectangles, whose stack shapes tell
+    which (module docstring), in place into ``grids`` and return it.
+    ``sizes`` holds each grid's n, or each pair's s (left-point) or m
+    (right-point), largest first."""
     with np.errstate(over="ignore", invalid="ignore"):
         (_implicit_stack if implicit else _explicit_stack)(grams, sizes, grids)
     if not (np.isfinite(grams).all() and np.isfinite(grids).all()):
@@ -292,16 +325,14 @@ def _grids(grams: np.ndarray, sizes: Sequence[int], implicit: bool, grids: np.nd
 def explicit_grid(gram: np.ndarray) -> np.ndarray:
     """Left-point grid via one BLAS mat-vec per column and block of
     ``_BLOCK`` rows, in panels of ``_PANEL`` columns (module docstring)."""
-    size = gram.shape[0] + 1
-    return _grids(gram[None], (size - 1,), False, np.zeros((1, size, size)))[0]
+    return _own_grids([gram.copy()], False, np.empty(0))[0]
 
 
 def implicit_grid(gram: np.ndarray) -> np.ndarray:
     """Right-point grid via one BLAS vector-matrix product per row and
     block of ``_BLOCK`` columns, in panels of ``_PANEL`` rows (module
     docstring)."""
-    size = gram.shape[0] + 1
-    return _grids(gram[None], (size - 1,), True, np.zeros((1, size, size)))[0]
+    return _own_grids([gram.copy()], True, np.empty(0))[0]
 
 
 def _inner(left: np.ndarray, right: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -313,20 +344,23 @@ def _inner(left: np.ndarray, right: np.ndarray, out: np.ndarray | None = None) -
 
 def _own_grids(grams: Sequence[np.ndarray], implicit: bool, workspace: np.ndarray) -> list[np.ndarray]:
     """The grid of each Gram, solved in batches of ``_batched``, largest
-    first, a batch of one without copies; each equals its grid solved alone
-    bit for bit."""
+    first; each equals its grid solved alone bit for bit.  Each Gram is
+    left holding its weights: a batch of one is solved in place, with no
+    stack or block copy."""
     order = sorted(range(len(grams)), key=lambda k: -len(grams[k]))
     grids: list[np.ndarray] = [np.empty(0)] * len(grams)
     for batch in _batched((len(grams[k]) + 1, k) for k in order):
-        if len(batch) == 1:
-            grids[batch[0]] = (implicit_grid if implicit else explicit_grid)(grams[batch[0]])
-            continue
         sizes = [len(grams[k]) for k in batch]
+        if len(batch) == 1:
+            size = sizes[0] + 1
+            grids[batch[0]] = _grids(grams[batch[0]][None], sizes, implicit, np.zeros((1, size, size)))[0]
+            continue
         stack, solved = _stacks(len(batch), sizes[0], workspace)
         for slot, k in enumerate(batch):
             _block(stack, slot, sizes[slot], implicit)[...] = grams[k]
         _grids(stack, sizes, implicit, solved)
         for slot, k in enumerate(batch):
+            grams[k][...] = _block(stack, slot, sizes[slot], implicit)
             grids[k] = _block(solved, slot, sizes[slot] + 1, implicit).copy()
     return grids
 
@@ -335,11 +369,12 @@ class _Side(NamedTuple):
     """What the rectangles of a path's pairs take from its own grid K, for
     a path of n jumps D on one side of gamma * <-sigma (see the module
     docstring).  ``block`` is, for left-point gamma, the rows K[0..n-1];
-    for left-point <-sigma, its own weights K[q+1][c] <D[q], D[c]>; for
-    right-point gamma, its own weights K[i+1][r+1] <D[i], D[r]>; for
-    right-point <-sigma, K[r][b] for b >= 1 with the diagonal r = b zeroed.
-    ``edge`` is K[0] for left-point <-sigma and 1 + <D[i], D[i]> for
-    right-point gamma.  ``corner`` is K[0][n], the value of a pair whose
+    for left-point <-sigma and right-point gamma, its solved Gram, which
+    holds its own weights, K[q+1][c] <D[c], D[q]> in row c below the
+    diagonal (left-point) or K[c+1][q+1] <D[c], D[q]> in row c above it
+    (right-point), and <D[c], D[c]> on it; for right-point <-sigma, K[r][b]
+    for b >= 1 with the diagonal r = b zeroed.  ``edge`` is K[0] for
+    left-point <-sigma.  ``corner`` is K[0][n], the value of a pair whose
     other side has no jump.  A side that no rectangle reads (no pair with
     jumps on both sides holds its path) keeps only the corner."""
 
@@ -349,7 +384,7 @@ class _Side(NamedTuple):
     corner: float
 
 
-def _side(deltas: np.ndarray, gram: np.ndarray, grid: np.ndarray, implicit: bool, column: bool, crossed: bool) -> _Side:
+def _side(deltas: np.ndarray, weights: np.ndarray, grid: np.ndarray, implicit: bool, column: bool, crossed: bool) -> _Side:
     n = len(deltas)
     corner = float(grid[0, n])
     if not crossed:
@@ -359,9 +394,9 @@ def _side(deltas: np.ndarray, gram: np.ndarray, grid: np.ndarray, implicit: bool
         np.fill_diagonal(block[1:], 0.0)
         return _Side(deltas, block, np.empty(0), corner)
     if implicit:
-        return _Side(deltas, grid[1:, 1:] * gram, 1.0 + np.diagonal(gram), corner)
+        return _Side(deltas, weights, np.empty(0), corner)
     if column:
-        return _Side(deltas, grid[1:, :n] * gram, grid[0].copy(), corner)
+        return _Side(deltas, weights, grid[0].copy(), corner)
     return _Side(deltas, grid[:n], np.empty(0), corner)
 
 
@@ -370,61 +405,26 @@ def _sides(
 ) -> list[_Side]:
     """Each path's own grid, solved together, reduced to its ``_Side``;
     ``crossed`` tells for each path whether a rectangle reads its side."""
-    grams = [_inner(deltas, deltas) for deltas in paths]
-    grids = _own_grids(grams, implicit, workspace)
-    return [_side(*own, implicit, column, read) for *own, read in zip(paths, grams, grids, crossed)]
-
-
-def _explicit_cross(grids: np.ndarray, weights: np.ndarray, sizes: Sequence[int]) -> None:
-    m = grids.shape[1] - 1
-    active = len(sizes)
-    for c in range(sizes[0]):
-        while sizes[active - 1] <= c:
-            active -= 1
-        grid, weight = grids[:active], weights[:active]
-        b = m + c + 1
-        weight[:, :m, c] *= grid[:, 1:, b - 1]
-        grid[:, :m, b : b + 1] = grid[:, :m, b - 1 : b] - grid[:, :m, : b - 1] @ weight[:, : b - 1, c : c + 1]
-
-
-def _implicit_cross(grids: np.ndarray, weights: np.ndarray, divisors: np.ndarray, sizes: Sequence[int]) -> None:
-    top = weights.shape[1]
-    active = len(sizes)
-    for t in range(sizes[0]):
-        while sizes[active - 1] <= t:
-            active -= 1
-        grid, weight = grids[:active], weights[:active]
-        i = top - 1 - t
-        weight[:, i, top:] *= grid[:, i + 1, :]
-        row = grid[:, i + 1 : i + 2, :] - weight[:, i : i + 1, i + 1 :] @ grid[:, i + 1 :, :]
-        grid[:, i : i + 1, :] = row / divisors[:active, i, None, None]
-
-
-def _cross(stacks: Sequence[np.ndarray], sizes: Sequence[int], implicit: bool) -> None:
-    """Solve a batch's rectangles in place: ``stacks`` is (grids, weights)
-    for left-point and (grids, weights, divisors) for right-point, and
-    ``sizes`` holds each pair's s (left-point) or m (right-point), largest
-    first."""
-    if implicit:
-        _implicit_cross(*stacks, sizes)
-    else:
-        _explicit_cross(*stacks, sizes)
-    if not all(np.isfinite(stack).all() for stack in stacks):
-        raise NumericError("the grid overflowed: an increment is too large")
+    weights = [_inner(deltas, deltas) for deltas in paths]  # each Gram, until its grid is solved
+    grids = _own_grids(weights, implicit, workspace)
+    return [_side(*own, implicit, column, read) for *own, read in zip(paths, weights, grids, crossed)]
 
 
 def _explicit_rectangles(rows: Sequence[_Side], columns: Sequence[_Side], workspace: np.ndarray) -> list[np.ndarray]:
     m = len(rows[0].deltas)
     sizes = [len(column.deltas) for column in columns]
     count, widest = len(sizes), sizes[0]
+    # The weights are held column by column and solved as weights.mT: numpy makes a one-row
+    # rectangle's product a dot product, which OpenBLAS adds in another order for a strided
+    # vector than for a contiguous one, and strided keeps seeded output byte for byte the same.
     grids, weights = _carve(workspace, (count, m + 1, m + widest + 1), (count, m + widest, widest))
     for k, (row, column) in enumerate(zip(rows, columns)):
         s = sizes[k]
         grids[k, :m, : m + 1] = row.block
         grids[k, m, m : m + s + 1] = column.edge
         _inner(row.deltas, column.deltas, out=weights[k, :m, :s])
-        weights[k, m : m + s, :s] = column.block
-    _cross((grids, weights), sizes, False)
+        weights[k, m : m + s, :s] = column.block.T
+    _grids(weights.mT, sizes, False, grids)
     return [grids[k, :m, m + 1 : m + s + 1] for k, s in enumerate(sizes)]
 
 
@@ -433,14 +433,13 @@ def _implicit_rectangles(rows: Sequence[_Side], columns: Sequence[_Side], worksp
     sizes = [len(row.deltas) for row in rows]
     top = sizes[0]
     count = len(sizes)
-    grids, weights, divisors = _carve(workspace, (count, top + s, s), (count, top, top + s), (count, top))
+    grids, weights = _carve(workspace, (count, top + s, s), (count, top, top + s))
     for k, (row, column) in enumerate(zip(rows, columns)):
         start = top - sizes[k]
         grids[k, top:] = column.block
         weights[k, start:, start:top] = row.block
         _inner(row.deltas, column.deltas, out=weights[k, start:, top:])
-        divisors[k, start:] = row.edge
-    _cross((grids, weights, divisors), sizes, True)
+    _grids(weights, sizes, True, grids)
     return [grids[k, top - m : top] for k, m in enumerate(sizes)]
 
 

@@ -29,6 +29,7 @@ from sigdev.cli import build_parser, main
 from sigdev.mmd import KERNELS
 from sigdev.paths import _refined_deltas
 from sigdev.sdkernel import exact_straight_line, solve_explicit, solve_implicit
+from helpers import batch_kind
 
 
 def write_line_csv(tmp_path, name, v, points=2):
@@ -465,8 +466,8 @@ class TestKernelNames:
 class TestSolversReachedThroughModule:
     """No command solves a whole grid through ``sdkernel.solve_*``.  A pair
     of paths (``k_sd``, ``kernel``) and a Gram solve their own grids in
-    batches through ``backend._grids`` and their pairs' rectangles in
-    batches through ``backend._cross``.  ``converge`` runs the grid route
+    batches through ``backend._grids``, and their pairs' rectangles in
+    batches through the same solver.  ``converge`` runs the grid route
     against a one-point path: one own grid per order, and no rectangle."""
 
     @pytest.fixture()
@@ -485,16 +486,11 @@ class TestSolversReachedThroughModule:
         """("own" or "cross", slots) of each own-grid and rectangle batch."""
         recorded = []
 
-        def own(grams, sizes, implicit, grids, _grids=backend._grids):
-            recorded.append(("own", len(sizes)))
+        def batch(grams, sizes, implicit, grids, _grids=backend._grids):
+            recorded.append((batch_kind(grams), len(sizes)))
             return _grids(grams, sizes, implicit, grids)
 
-        def cross(stacks, sizes, implicit, _cross=backend._cross):
-            recorded.append(("cross", len(sizes)))
-            return _cross(stacks, sizes, implicit)
-
-        monkeypatch.setattr(backend, "_grids", own)
-        monkeypatch.setattr(backend, "_cross", cross)
+        monkeypatch.setattr(backend, "_grids", batch)
         return recorded
 
     def test_k_sd(self, calls, batches):

@@ -31,7 +31,7 @@ from sigdev import backend, sdkernel, signature
 from sigdev.cli import main
 from sigdev.mmd import KERNELS
 from sigdev.signature import MAX_FEATURE_ENTRIES, _check_feature_budget
-from helpers import make_piecewise_linear
+from helpers import batch_kind, make_piecewise_linear
 
 
 def fbm_sample(seeds, dim=2, scale=0.06, n=6):
@@ -288,15 +288,13 @@ class TestGridGrams:
         sizes = []
 
         def recorded(grams, batch_sizes, implicit, grids, _grids=backend._grids):
-            sizes.append(("own", list(batch_sizes)))
+            if batch_kind(grams) == "own":
+                sizes.append(("own", list(batch_sizes)))
+            else:
+                sizes.append(("cross", list(batch_sizes), max(grams.size, grids.size)))
             return _grids(grams, batch_sizes, implicit, grids)
 
-        def recorded_cross(stacks, batch_sizes, implicit, _cross=backend._cross):
-            sizes.append(("cross", list(batch_sizes), max(stack.size for stack in stacks)))
-            return _cross(stacks, batch_sizes, implicit)
-
         monkeypatch.setattr(backend, "_grids", recorded)
-        monkeypatch.setattr(backend, "_cross", recorded_cross)
         return sizes
 
     @staticmethod

@@ -1,9 +1,5 @@
 import itertools
 import math
-import os
-import pathlib
-import subprocess
-import sys
 import warnings
 from collections import Counter
 from functools import lru_cache
@@ -41,7 +37,7 @@ from sigdev import (
 )
 from sigdev import backend, paths, sdkernel
 from sigdev.sdkernel import SolutionGrid
-from helpers import make_piecewise_linear
+from helpers import batch_kind, make_piecewise_linear, run_pinned
 
 J1_AT_TWO = 0.5767248077568734  # J1(2), power series; scipy cross-check below
 
@@ -210,13 +206,77 @@ def _row_loop(gram):
     return grid
 
 
+def _explicit_cross(grids, weights, sizes):
+    """Left-point rectangles, one product per column over the whole
+    m x (b-1) block: the unblocked reference for ``backend._explicit_stack``."""
+    m = grids.shape[1] - 1
+    active = len(sizes)
+    for c in range(sizes[0]):
+        while sizes[active - 1] <= c:
+            active -= 1
+        grid, weight = grids[:active], weights[:active]
+        b = m + c + 1
+        weight[:, :m, c] *= grid[:, 1:, b - 1]
+        grid[:, :m, b : b + 1] = grid[:, :m, b - 1 : b] - grid[:, :m, : b - 1] @ weight[:, : b - 1, c : c + 1]
+
+
+def _implicit_cross(grids, weights, divisors, sizes):
+    """Right-point rectangles, one product per row over the whole
+    (n-i-1) x s block: the unblocked reference for ``backend._implicit_stack``."""
+    top = weights.shape[1]
+    active = len(sizes)
+    for t in range(sizes[0]):
+        while sizes[active - 1] <= t:
+            active -= 1
+        grid, weight = grids[:active], weights[:active]
+        i = top - 1 - t
+        weight[:, i, top:] *= grid[:, i + 1, :]
+        row = grid[:, i + 1 : i + 2, :] - weight[:, i : i + 1, i + 1 :] @ grid[:, i + 1 :, :]
+        grid[:, i : i + 1, :] = row / divisors[:active, i, None, None]
+
+
+def _cross_rectangle(gamma, sigma, implicit):
+    """The rectangle K[0..m-1][m+1..n] of the pair with jumps gamma, then
+    sigma, by ``_explicit_cross``/``_implicit_cross`` on the own grids of
+    ``_column_loop``/``_row_loop``."""
+    m, s = len(gamma), len(sigma)
+    own, other, cross = gamma @ gamma.T, sigma @ sigma.T, gamma @ sigma.T
+    if implicit:
+        grids, weights = np.zeros((1, m + s, s)), np.zeros((1, m, m + s))
+        grids[0, m:] = _row_loop(other)[:s, 1:]
+        np.fill_diagonal(grids[0, m + 1 :], 0.0)
+        weights[0, :, :m] = _row_loop(own)[1:, 1:] * own
+        weights[0, :, m:] = cross
+        _implicit_cross(grids, weights, 1.0 + np.diagonal(own)[None], [m])
+        return grids[0, :m]
+    grids, weights = np.zeros((1, m + 1, m + s + 1)), np.zeros((1, m + s, s))
+    grids[0, :m, : m + 1] = _column_loop(own)[:m]
+    grids[0, m, m:] = _column_loop(other)[0]
+    weights[0, :m] = cross
+    weights[0, m:] = _column_loop(other)[1:, :s] * other
+    _explicit_cross(grids, weights, [s])
+    return grids[0, :m, m + 1 :]
+
+
+def _rectangle(gamma, sigma, implicit):
+    """The same rectangle, solved as ``backend._pair_values`` solves it."""
+    workspace = np.empty(0)
+    (row,) = backend._sides([gamma], implicit, False, [True], workspace)
+    (column,) = backend._sides([sigma], implicit, True, [True], workspace)
+    ((_, rectangle),) = backend._rectangles({0: row}, {0: column}, [(0, 0)], implicit, workspace)
+    return rectangle
+
+
 class TestBatchedGrids:
     @pytest.mark.parametrize("n", [0, 1, 2, 17, 240])
     def test_one_pair_equals_the_per_grid_loops(self, n):
         deltas = np.random.default_rng(n).normal(size=(n, 2)) * 0.05
         gram = deltas @ deltas.T
+        before = gram.copy()
         assert np.array_equal(backend.explicit_grid(gram), _column_loop(gram))
         assert np.array_equal(backend.implicit_grid(gram), _row_loop(gram))
+        # the solvers form their weights in a copy, so solve_explicit/solve_implicit leave theirs too
+        assert np.array_equal(gram, before)
 
     def test_stack_blocks_equal_the_per_grid_loops(self):
         rng = np.random.default_rng(7)
@@ -298,9 +358,8 @@ class TestPanelledGrids:
         # past about 700 across them, which moves the loops' last bits.  n =
         # 2B + 5 has rows of B + 1 columns, whose last column joins the block before.
         sizes = [self.B - 1, self.B, self.B + 1, self.B + self.W + 1, 2 * self.B + 5, 2 * self.B + self.W + 3, 960]
-        probe = (
-            "import sys, numpy as np\n"
-            f"sys.path.insert(0, {str(pathlib.Path(__file__).parent)!r})\n"
+        run_pinned(
+            "import numpy as np\n"
             "from test_sdkernel import _column_loop, _row_loop\n"
             "from sigdev import backend\n"
             f"for n in {sizes}:\n"
@@ -309,9 +368,22 @@ class TestPanelledGrids:
             "    assert np.array_equal(backend.explicit_grid(gram), _column_loop(gram)), n\n"
             "    assert np.array_equal(backend.implicit_grid(gram), _row_loop(gram)), n\n"
         )
-        env = os.environ | {"OPENBLAS_NUM_THREADS": "1"}
-        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
+
+    def test_rectangles_equal_the_unblocked_loops_on_one_blas_thread(self):
+        # m or s past one block, in both orders; a rectangle of m = B + 1
+        # rows has a last row block of one row, which joins the block before,
+        # and one of m = 1 row is a dot product
+        B, W = self.B, self.W
+        sizes = [(a, 37) for a in (B - 1, B, B + 1, B + W + 1, 2 * B + 5)] + [(B + 1, 2 * B + 5), (1, B + 1)]
+        run_pinned(
+            "import numpy as np\n"
+            "from test_sdkernel import _cross_rectangle, _rectangle\n"
+            f"for m, s in {sizes + [(s, m) for m, s in sizes]}:\n"
+            "    deltas = np.random.default_rng(m + 7 * s).normal(size=(m + s, 2)) * (1.5 / (m + s)) ** 0.5\n"
+            "    for implicit in (False, True):\n"
+            "        expected = _cross_rectangle(deltas[:m], deltas[m:], implicit)\n"
+            "        assert np.array_equal(_rectangle(deltas[:m], deltas[m:], implicit), expected), (m, s, implicit)\n"
+        )
 
     def test_a_last_block_of_one_column_joins_the_block_before(self):
         assert [backend._row_blocks(w) for w in (1, 2, self.B, self.B + 1, self.B + 2)] == [1, 1, 1, 1, 2]
@@ -587,8 +659,8 @@ class TestSplitGrids:
     """A pair's grid as gamma's own triangle, <-sigma's own triangle and the
     rectangle between them (``backend._pair_values``, which ``k_sd`` runs)."""
 
-    @pytest.mark.parametrize("m", [0, 1, 2, 17, 40])
-    @pytest.mark.parametrize("s", [0, 1, 2, 17, 40])
+    @pytest.mark.parametrize("m", [0, 1, 2, 17, 40, 300])
+    @pytest.mark.parametrize("s", [0, 1, 2, 17, 40, 300])
     def test_own_grids_and_rectangle_match_the_full_grid(self, m, s):
         deltas = np.random.default_rng(100 * m + s).normal(size=(m + s, 2)) * 0.1
         gamma, sigma = deltas[:m], deltas[m:]
@@ -602,18 +674,21 @@ class TestSplitGrids:
             got[m:, m:] = own[1]
             for _, rectangle in backend._rectangles({0: row}, {0: column}, [(0, 0)], implicit, np.empty(0)):
                 got[:m, m + 1 :] = rectangle
-            assert np.abs(got - loop(deltas @ deltas.T)).max() <= 1e-13
+            # at roundoff of the grid's largest cell, about 1e4 at m = s = 300 left-point
+            expected = loop(deltas @ deltas.T)
+            assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
     @pytest.fixture()
     def rectangles(self, monkeypatch):
         """Sizes of each rectangle batch, in order."""
         sizes = []
 
-        def recorded(stacks, batch_sizes, implicit, _cross=backend._cross):
-            sizes.append(list(batch_sizes))
-            return _cross(stacks, batch_sizes, implicit)
+        def recorded(grams, batch_sizes, implicit, grids, _grids=backend._grids):
+            if batch_kind(grams) == "cross":
+                sizes.append(list(batch_sizes))
+            return _grids(grams, batch_sizes, implicit, grids)
 
-        monkeypatch.setattr(backend, "_cross", recorded)
+        monkeypatch.setattr(backend, "_grids", recorded)
         return sizes
 
     @staticmethod
@@ -656,7 +731,7 @@ class TestSplitGrids:
     @pytest.fixture()
     def own(self, monkeypatch):
         """(side, path) of every own grid solved, and the slots of each
-        ``_grids`` batch."""
+        ``_grids`` batch of own grids."""
         solved, slots = [], []
 
         def counted_sides(paths, implicit, column, crossed, workspace, _sides=backend._sides):
@@ -664,7 +739,8 @@ class TestSplitGrids:
             return _sides(paths, implicit, column, crossed, workspace)
 
         def counted_grids(grams, sizes, implicit, grids, _grids=backend._grids):
-            slots.append(len(sizes))
+            if batch_kind(grams) == "own":
+                slots.append(len(sizes))
             return _grids(grams, sizes, implicit, grids)
 
         monkeypatch.setattr(backend, "_sides", counted_sides)
