@@ -42,8 +42,11 @@ class Path:
     points: np.ndarray
 
     def __post_init__(self):
-        times = np.atleast_1d(np.asarray(self.times, dtype=np.float64))
-        points = np.asarray(self.points, dtype=np.float64)
+        try:
+            times = np.atleast_1d(np.asarray(self.times, dtype=np.float64))
+            points = np.asarray(self.points, dtype=np.float64)
+        except (TypeError, ValueError) as exc:  # ragged or non-numeric coordinates
+            raise DomainError(f"path coordinates must be numbers: {exc}") from None
         if points.ndim == 1:
             points = points[:, None]
         if points.ndim != 2 or points.shape[1] < 1:
@@ -134,9 +137,7 @@ class IncrementSequence:
 def _clip_points(path: Path, s: float, t: float) -> np.ndarray:
     """Sample points of path restricted to [s, t] (endpoints interpolated)."""
     inner = (path.times > s) & (path.times < t)
-    return np.vstack(
-        [path.evaluate(s).reshape(1, -1), path.points[inner], path.evaluate(t).reshape(1, -1)]
-    )
+    return np.vstack([path.evaluate(s), path.points[inner], path.evaluate(t)])
 
 
 def one_variation(path: Path, interval: tuple[float, float] | None = None) -> float:
@@ -144,20 +145,10 @@ def one_variation(path: Path, interval: tuple[float, float] | None = None) -> fl
 
     For a piecewise-linear path this is the sum of Euclidean lengths of the
     (clipped) segments inside the interval, which equals the supremum over
-    all partitions.
+    all partitions.  A length too large to square reads inf.
     """
-    if interval is None:
-        s, t = path.start_time, path.end_time
-    else:
-        s, t = float(interval[0]), float(interval[1])
-    if s > t:
-        raise DomainError("interval must satisfy s <= t")
-    if s < path.start_time or t > path.end_time:
-        raise DomainError("interval outside path span")
-    if s == t:
-        return 0.0
-    pts = _clip_points(path, s, t)
-    return float(np.linalg.norm(np.diff(pts, axis=0), axis=1).sum())
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(_finite_deltas(path, interval), axis=1).sum())
 
 
 def concat_reverse(gamma: Path, sigma: Path) -> Path:
@@ -241,7 +232,7 @@ def refine_to_variation(path: Path, max_variation: float) -> Partition:
     Segment k is split into ``ceil(|D[k]| / max_variation)`` equal parts
     (at least one), with knots ``a + (b - a) * j / splits``.
     """
-    splits = _variation_splits(np.diff(path.points, axis=0), max_variation)
+    splits = _variation_splits(_finite_deltas(path), max_variation)
     segment = np.repeat(np.arange(len(splits)), splits)
     steps = np.arange(1, len(segment) + 1) - np.repeat(np.cumsum(splits) - splits, splits)
     a, b = path.times[:-1][segment], path.times[1:][segment]
@@ -249,14 +240,28 @@ def refine_to_variation(path: Path, max_variation: float) -> Partition:
     return Partition(knots)
 
 
-def _finite_deltas(path: Path) -> np.ndarray:
-    """The path's segment increments, (n - 1, d); a segment between finite
-    points whose difference overflows is refused without a numpy warning."""
+def _finite_deltas(path: Path, interval: tuple[float, float] | None = None) -> np.ndarray:
+    """The increments of the path's segments, clipped to [s, t] when an
+    interval is given: every route reads a path's segments here.  A
+    difference that overflows is refused without a numpy warning."""
+    points = path.points
+    if interval is not None:
+        s, t = float(interval[0]), float(interval[1])
+        if s > t:
+            raise DomainError("interval must satisfy s <= t")
+        if s < path.start_time or t > path.end_time:
+            raise DomainError("interval outside path span")
+        points = _clip_points(path, s, t)
     with np.errstate(over="ignore", invalid="ignore"):
-        deltas = np.diff(path.points, axis=0)
+        deltas = np.diff(points, axis=0)
     if not np.isfinite(deltas).all():
         raise DomainError("path increments must be finite")
     return deltas
+
+
+def _nonzero(deltas: np.ndarray) -> np.ndarray:
+    """The nonzero rows of ``deltas``: a zero jump multiplies by exp(0) = 1."""
+    return deltas[np.any(deltas, axis=1)]
 
 
 def _refined_deltas(
@@ -306,8 +311,9 @@ def _check_grid_cells(jumps: int, max_cells: int | None) -> None:
 
 
 def scaled(path: Path, factor: float) -> Path:
-    """Path with all points multiplied by a scalar factor."""
-    return Path(path.times, path.points * float(factor))
+    """Path with all points multiplied by a scalar factor; ``Path`` refuses a non-finite product."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return Path(path.times, path.points * float(factor))
 
 
 def gen_fbm(hurst: float, n_points: int, dim: int, seed: int) -> Path:
@@ -406,7 +412,7 @@ def read_paths_jsonl(file) -> tuple[list[str], list[Path]]:
         if not isinstance(obj, dict) or "t" not in obj or "x" not in obj:
             raise DomainError("each line needs fields 'id', 't', 'x'")
         ids.append(str(obj.get("id", len(ids))))
-        paths.append(Path(np.asarray(obj["t"]), np.asarray(obj["x"])))
+        paths.append(Path(obj["t"], obj["x"]))
     if not paths:
         raise DomainError("empty multi-path file")
     return ids, paths

@@ -54,7 +54,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .paths import IncrementSequence, Partition, Path, _finite_deltas, piecewise_constant_increments
+from .paths import IncrementSequence, Partition, Path, _finite_deltas, _nonzero, piecewise_constant_increments
 from .rng import TAG_GINIBRE, TAG_GUE, keyed_generator
 
 GUE = "gue"
@@ -305,12 +305,8 @@ def _powers(
     return powers
 
 
-def _nonzero_rows(incs: IncrementSequence) -> list[np.ndarray]:
-    return [row for row in incs.deltas if np.any(row)]
-
-
 def _word_degree_of(incs: IncrementSequence) -> int:
-    return _word_degree(incs.dim, len(_nonzero_rows(incs)))
+    return _word_degree(incs.dim, len(_nonzero(incs.deltas)))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -328,9 +324,9 @@ def _development(
     """
     if space is None:
         return _development(incs, mats, n_dim, unit, _workspace(n_dim, incs.dim, _word_degree_of(incs))).copy()
-    rows = _nonzero_rows(incs)
+    rows = _nonzero(incs.deltas)
     z, spare = space.products[:2]
-    if not rows:
+    if not len(rows):
         z[...] = 0.0
         np.fill_diagonal(z, 1.0)
         return z

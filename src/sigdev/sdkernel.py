@@ -195,7 +195,7 @@ def series_oracle(path: Path, tol: float = 1e-8) -> SeriesKernel:
     bound sum_{m>L} C_{m/2} |path|_1^m / m! falls below ``tol``; if none
     does, a resource error reports the best achievable bound.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise DomainError("tol must be positive")
     variation = one_variation(path)
     level = _series_level(variation, tol)
@@ -255,7 +255,7 @@ def _series_pair(features: np.ndarray, column: dict[int, np.ndarray], level: int
 def _series_gram(paths_a: Sequence[Path], paths_b: Sequence[Path], tol: float):
     """Series values of every pair, with the level of each pair and the
     1-variation of each path."""
-    if tol <= 0:
+    if not tol > 0:
         raise DomainError("tol must be positive")
     dim = _check_same_dim(paths_a, paths_b)
     same = paths_b is paths_a

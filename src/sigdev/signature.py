@@ -14,8 +14,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError
-from .paths import IncrementSequence, Path, _clip_points, one_variation
+from .errors import DomainError, NumericError, ResourceLimitError
+from .paths import IncrementSequence, Path, _finite_deltas, _nonzero, one_variation
 
 MAX_TENSOR_ENTRIES = 10_000_000
 # coefficients of the signatures one Gram matrix keeps in memory at once
@@ -122,6 +122,7 @@ def _level_views(features: np.ndarray, dim: int, level: int) -> list[np.ndarray]
     return np.split(features, np.cumsum([dim**m for m in range(level)]), axis=-1)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _sign_batch(incs: np.ndarray, level: int) -> np.ndarray:
     """Signatures of P paths with n nonzero increments each, ``incs`` of
     shape (P, n, d): row p holds levels 0..level of path p, concatenated.
@@ -129,7 +130,8 @@ def _sign_batch(incs: np.ndarray, level: int) -> np.ndarray:
     Segments are multiplied in left to right, each by one lockstep pass of
     the Horner chains of all levels (``_multiply_segment_exp``).  That pass
     rounds each coefficient exactly as a chain-per-level loop does, so the
-    signatures equal that loop's bit for bit whatever the batch size."""
+    signatures equal that loop's bit for bit whatever the batch size.  A
+    coefficient that overflows raises ``NumericError``, without warnings."""
     paths, count, dim = incs.shape
     features = np.zeros((paths, sum(dim**m for m in range(level + 1))))
     features[:, 0] = 1.0
@@ -139,16 +141,9 @@ def _sign_batch(incs: np.ndarray, level: int) -> np.ndarray:
     divisors = np.arange(1.0, level + 1)[:, None]
     for k in range(count):
         _multiply_segment_exp(levels, incs[:, k], buffers, divisors)
+    if not np.isfinite(features).all():
+        raise NumericError(f"a level-{level} signature overflows: an increment is too large")
     return features
-
-
-def _nonzero_increments(path: Path, s: float, t: float) -> np.ndarray:
-    """Increments of the path's segments over [s, t], zero ones dropped:
-    a zero increment multiplies the signature by exp(0) = 1."""
-    if s == t:
-        return np.zeros((0, path.dim))
-    incs = np.diff(_clip_points(path, s, t), axis=0)
-    return incs[np.any(incs, axis=1)]
 
 
 def _sign_paths(paths: Sequence[Path], levels: Sequence[int]) -> list[np.ndarray]:
@@ -161,7 +156,7 @@ def _sign_paths(paths: Sequence[Path], levels: Sequence[int]) -> list[np.ndarray
     coefficients equal those ``truncated_signature`` returns, bit for bit.
     """
     dim = paths[0].dim
-    incs = [_nonzero_increments(p, p.start_time, p.end_time) for p in paths]
+    incs = [_nonzero(_finite_deltas(p)) for p in paths]
     groups: dict[tuple[int, int], list[int]] = {}
     for i, level in enumerate(levels):
         groups.setdefault((level, len(incs[i])), []).append(i)
@@ -202,15 +197,7 @@ def truncated_signature(
     scheduling.
     """
     _check_storage(path.dim, level)
-    if interval is None:
-        s, t = path.start_time, path.end_time
-    else:
-        s, t = float(interval[0]), float(interval[1])
-    if s > t:
-        raise DomainError("interval must satisfy s <= t")
-    if s < path.start_time or t > path.end_time:
-        raise DomainError("interval outside path span")
-    features = _sign_batch(_nonzero_increments(path, s, t)[None], level)[0]
+    features = _sign_batch(_nonzero(_finite_deltas(path, interval))[None], level)[0]
     return TruncatedSignature(path.dim, level, tuple(_level_views(features, path.dim, level)))
 
 
@@ -245,10 +232,12 @@ def _check_feature_budget(dim: int, levels: Sequence[int]) -> None:
         )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _fill_gram(rows: int, cols: int, same: bool, column) -> np.ndarray:
     """values[i, j] = column(j)(i), one column at a time, so a column's
     per-path work is done once.  With one sample (``same``) only i <= j is
-    evaluated and mirrored, so the matrix is exactly symmetric."""
+    evaluated and mirrored, so the matrix is exactly symmetric.  A value
+    that overflows raises ``NumericError``, without numpy's warnings."""
     values = np.empty((rows, cols))
     for j in range(cols):
         entry = column(j)
@@ -256,6 +245,8 @@ def _fill_gram(rows: int, cols: int, same: bool, column) -> np.ndarray:
             values[i, j] = entry(i)
             if same:
                 values[j, i] = values[i, j]
+    if not np.isfinite(values).all():
+        raise NumericError("a kernel value overflows")
     return values
 
 
@@ -353,7 +344,7 @@ def signature_kernel_truncated(gamma: Path, sigma: Path, level: int = 8) -> SigK
 
 def level_for_remainder(var_product: float, dim: int, tol: float) -> int:
     """Smallest truncation level whose kernel remainder bound is below tol."""
-    if tol <= 0:
+    if not tol > 0:
         raise DomainError("tol must be positive")
     best = math.inf
     for level in range(MAX_REMAINDER_LEVEL + 1):

@@ -2,6 +2,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 
@@ -32,3 +33,18 @@ def batch_kind(grams: np.ndarray) -> str:
     """"own" for a ``backend._grids`` batch of own grids, whose Grams are
     square, "cross" for a batch of rectangles."""
     return "own" if grams.shape[1] == grams.shape[2] else "cross"
+
+
+def assert_refused(argv, capsys, code: int) -> str:
+    """Run the command line ``argv`` with numpy's ``RuntimeWarning`` an
+    error; assert that it exits ``code`` with nothing on stdout and one
+    ``error:`` line on stderr, and return that line."""
+    from sigdev.cli import main
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err.rstrip("\n")

@@ -6,7 +6,6 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
-import warnings
 from collections import Counter
 
 import numpy as np
@@ -29,7 +28,7 @@ from sigdev.cli import build_parser, main
 from sigdev.mmd import KERNELS
 from sigdev.paths import _refined_deltas
 from sigdev.sdkernel import exact_straight_line, solve_explicit, solve_implicit
-from helpers import batch_kind
+from helpers import assert_refused, batch_kind
 
 
 def write_line_csv(tmp_path, name, v, points=2):
@@ -254,16 +253,20 @@ class TestConvergeCommand:
 
 
 class TestOverflowExits3:
-    """Finite input whose Gram, grid, refinement or development overflows is
-    a numeric failure: exit 3, one error line, and no numpy warning."""
+    """Finite input whose Gram, grid, refinement, signature or development
+    overflows is a numeric failure: exit 3, one error line, and no numpy
+    warning."""
 
     @pytest.fixture()
     def files(self, tmp_path):
-        for size in (1e50, 1e100, 1e200):
+        for size in (1e25, 1e50, 1e100, 1e200):
             write_line_csv(tmp_path, f"line{size:g}.csv", [size])
             points = np.zeros((5, 1))
             points[1::2] = size
             write_paths_jsonl(["zigzag"], [Path(np.arange(5.0), points)], tmp_path / f"zigzag{size:g}.jsonl")
+        corner = Path([0.0, 1.0], [[1e200, 0.0], [0.0, 1e200]])
+        write_path_csv(corner, tmp_path / "corner.csv")
+        write_paths_jsonl(["corner"], [corner], tmp_path / "corner.jsonl")
         return tmp_path
 
     @pytest.mark.parametrize(
@@ -276,46 +279,58 @@ class TestOverflowExits3:
             ["gram", "zigzag1e+200.jsonl", "--kernel", "sd_implicit"],
             ["mmd", "zigzag1e+100.jsonl", "zigzag1e+100.jsonl", "--kernel", "sd_explicit", "--mesh", "1e300"],
             ["mmd", "zigzag1e+200.jsonl", "zigzag1e+200.jsonl", "--kernel", "sd_explicit"],
+            # a signature coefficient overflows
+            ["kernel", "corner.csv", "corner.csv", "--scheme", "sig_truncated", "--level", "8"],
+            ["kernel", "corner.csv", "corner.csv", "--scheme", "sig_truncated", "--level", "8", "--format", "json"],
+            ["gram", "corner.jsonl", "--kernel", "sig_truncated"],
+            ["mmd", "corner.jsonl", "corner.jsonl", "--kernel", "sig_truncated"],
+            # finite level-8 coefficients of about 2.5e195 whose pairing overflows
+            ["kernel", "line1e+25.csv", "line1e+25.csv", "--scheme", "sig_truncated", "--level", "8"],
         ],
     )
     def test_exits_3_without_warnings(self, files, capsys, argv):
         argv = [str(files / a) if a.endswith((".csv", ".jsonl")) else a for a in argv]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert main(argv) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert_refused(argv, capsys, 3)
 
 
 class TestConvergeOverflowingDisplacement:
     """``converge`` refuses a path whose segment (exit 2) or displacement
-    (exit 3) overflows before any route or its reference runs: one error
-    line and no numpy warning."""
+    (exit 3) overflows before any route or its reference runs, and one in
+    d = 2 whose 1-variation overflows as its series reference finds no
+    level (exit 3): one error line and no numpy warning."""
 
-    @pytest.mark.parametrize("points,code", [([1e308, -1e308], 2), ([-1e308, 0.0, 1e308], 3)])
+    @pytest.mark.parametrize(
+        "points,code",
+        [([1e308, -1e308], 2), ([-1e308, 0.0, 1e308], 3), ([[1e200, 0.0], [0.0, 1e200]], 3)],
+    )
     @pytest.mark.parametrize("rest", [[], ["--lambda", "", "--matrix-dim", "4", "--mc-samples", "2"]])
     def test_refused_without_warnings(self, tmp_path, capsys, points, code, rest):
-        wide = Path(np.arange(len(points), dtype=float), np.array(points)[:, None])
-        write_path_csv(wide, tmp_path / "wide.csv")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert main(["converge", str(tmp_path / "wide.csv"), *rest]) == code
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        points = np.array(points).reshape(len(points), -1)
+        write_path_csv(Path(np.arange(len(points), dtype=float), points), tmp_path / "wide.csv")
+        assert_refused(["converge", str(tmp_path / "wide.csv"), *rest], capsys, code)
 
 
 class TestOverflowingSegmentExits2:
     """A segment between finite points whose difference overflows (±1e308)
-    is bad input, as when the grid route formed the path gamma * <-sigma:
-    exit 2, one error line, and no numpy warning."""
+    is bad input on every route, as when the grid route formed the path
+    gamma * <-sigma: exit 2, one error line, and no numpy warning."""
 
     @pytest.mark.parametrize(
         "argv",
         [
             ["gram", "wide.jsonl", "--kernel", "sd_explicit"],
             ["kernel", "wide.csv", "wide.csv", "--scheme", "explicit"],
+            ["kernel", "wide.csv", "wide.csv", "--scheme", "implicit"],
+            ["kernel", "wide.csv", "wide.csv", "--scheme", "sd_series"],
+            ["kernel", "wide.csv", "wide.csv", "--scheme", "sig_truncated"],
+            ["kernel", "wide.csv", "wide.csv", "--scheme", "sig_truncated", "--level", "8"],
+            ["gram", "wide.jsonl", "--kernel", "sd_implicit"],
+            ["gram", "wide.jsonl", "--kernel", "sd_series"],
+            ["gram", "wide.jsonl", "--kernel", "sig_truncated"],
+            ["mmd", "wide.jsonl", "wide.jsonl", "--kernel", "sd_explicit"],
+            ["mmd", "wide.jsonl", "wide.jsonl", "--kernel", "sd_implicit"],
+            ["mmd", "wide.jsonl", "wide.jsonl", "--kernel", "sd_series"],
+            ["mmd", "wide.jsonl", "wide.jsonl", "--kernel", "sig_truncated"],
         ],
     )
     def test_exits_2_without_warnings(self, tmp_path, capsys, argv):
@@ -323,12 +338,31 @@ class TestOverflowingSegmentExits2:
         write_path_csv(wide, tmp_path / "wide.csv")
         write_paths_jsonl(["wide"], [wide], tmp_path / "wide.jsonl")
         argv = [str(tmp_path / a) if a.startswith("wide.") else a for a in argv]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert assert_refused(argv, capsys, 2) == "error: path increments must be finite"
+
+
+class TestNonPositiveTolExits2:
+    """A tolerance that is not positive, NaN included, is bad input for
+    every route that reads one: exit 2, one error line, and no numpy
+    warning."""
+
+    @pytest.mark.parametrize("tol", ["nan", "0"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kernel", "a.csv", "a.csv"],
+            ["kernel", "a.csv", "a.csv", "--scheme", "sig_truncated"],
+            ["gram", "a.jsonl"],
+            ["mmd", "a.jsonl", "a.jsonl"],
+            ["converge", "a.csv", "--lambda", "0", "--matrix-dim", ""],
+        ],
+    )
+    def test_exits_2_without_warnings(self, tmp_path, capsys, argv, tol):
+        path = gen_fbm(0.75, 16, 2, 7)
+        write_path_csv(path, tmp_path / "a.csv")
+        write_paths_jsonl(["a"], [path], tmp_path / "a.jsonl")
+        argv = [str(tmp_path / a) if a.startswith("a.") else a for a in argv]
+        assert assert_refused([*argv, "--tol", tol], capsys, 2) == "error: tol must be positive"
 
 
 class TestGridBudgetExits3:
@@ -358,14 +392,10 @@ class TestGridBudgetExits3:
         argv = [str(tmp_path / a) if a.endswith((".csv", ".jsonl")) else a for a in argv]
         tracemalloc.start()
         try:
-            code = main(argv)
+            line = assert_refused(argv, capsys, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert code == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        (line,) = captured.err.splitlines()
         assert line.startswith("error: a grid of n = ") and f"over the {backend._GRID_CELLS} cell budget" in line
         jumps = int(line.split("n = ")[1].split()[0])
         assert jumps == n if n is not None else jumps > 10**9
@@ -414,6 +444,12 @@ class TestSampleCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["row_ids"] == ["p0", "p1"]
         assert np.asarray(payload["values"]).shape == (2, 2)
+
+    def test_ragged_or_non_numeric_sample_exits_2(self, tmp_path, capsys):
+        for bad in ('{"t": [0, 1], "x": [[1, 2], [3]]}', '{"t": [0, 1], "x": [["1"], ["q"]]}'):
+            (tmp_path / "bad.jsonl").write_text(bad + "\n")
+            line = assert_refused(["gram", str(tmp_path / "bad.jsonl")], capsys, 2)
+            assert line.startswith("error: path coordinates must be numbers")
 
 
 SHORT_NAMES = {"explicit": "sd_explicit", "implicit": "sd_implicit", "series": "sd_series"}
@@ -551,6 +587,9 @@ class TestGenFbm:
             assert main(["genfbm", "--seed", seed, "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] != outs[1]
+
+    def test_non_finite_scale_exits_2_without_warnings(self, capsys):
+        assert assert_refused(["genfbm", "--scale", "1e309"], capsys, 2) == "error: path coordinates must be finite"
 
 
 # Every flag that takes a value, by command: its documented variable, a

@@ -22,10 +22,11 @@ from sigdev import (
     read_paths_jsonl,
     refine_to_variation,
     scaled,
+    truncated_signature,
     write_path_csv,
     write_paths_jsonl,
 )
-from sigdev.paths import _refined_deltas
+from sigdev.paths import _finite_deltas, _refined_deltas
 from helpers import make_piecewise_linear
 
 
@@ -68,6 +69,11 @@ class TestOneVariation:
     def test_two_segments(self):
         p = Path([0.0, 0.5, 1.0], [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
         assert one_variation(p) == pytest.approx(2.0, abs=1e-15)
+
+    def test_a_length_too_large_to_square_is_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert one_variation(Path([0.0, 1.0], [[1e200, 0.0], [0.0, 1e200]])) == np.inf
 
     def test_interval_outside_span(self):
         with pytest.raises(DomainError):
@@ -338,6 +344,16 @@ class TestRefinedDeltas:
             for kwargs in ({"mesh": 0.1}, {"dyadic_order": 2}):
                 with pytest.raises(DomainError):
                     _refined_deltas(path, **kwargs)
+            # every other read of a path's jumps refuses it the same way
+            for read in (
+                lambda p: _finite_deltas(p, (0.0, 0.75)),
+                one_variation,
+                lambda p: refine_to_variation(p, 0.1),
+                truncated_signature,
+                lambda p: truncated_signature(p, (0.0, 0.75)),
+            ):
+                with pytest.raises(DomainError, match="path increments must be finite"):
+                    read(path)
 
 
 class TestGenFbm:
@@ -405,6 +421,15 @@ class TestFileFormats:
     def test_jsonl_bad_line(self):
         with pytest.raises(DomainError):
             read_paths_jsonl(io.StringIO('{"id": "a"}\n'))
+        # ragged or non-numeric coordinates
+        for bad in (
+            '{"t": [0, 1], "x": [[1, 2], [3]]}',
+            '{"t": [0, 1], "x": [["1"], ["q"]]}',
+            '{"t": [0, [1]], "x": [[1], [2]]}',
+            '{"t": [0, 1], "x": {"a": 1}}',
+        ):
+            with pytest.raises(DomainError, match="path coordinates must be numbers"):
+                read_paths_jsonl(io.StringIO(bad + "\n"))
 
 
 def test_scaled_scales_points():
@@ -412,6 +437,27 @@ def test_scaled_scales_points():
     q = scaled(p, 0.25)
     assert np.allclose(q.points, 0.25 * p.points, atol=0)
     assert one_variation(q) == pytest.approx(0.25, abs=1e-12)
+
+
+def test_scaled_to_non_finite_points_is_refused_without_a_warning():
+    p = make_piecewise_linear(3, 4, 2, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match="finite"):
+            scaled(p, np.inf)
+
+
+def test_whole_span_read_equals_the_clipped_read():
+    # ``_finite_deltas`` clips only for an explicit interval; clipping
+    # interpolates at the end points, which np.interp returns exactly
+    rng = np.random.default_rng(5)
+    for k in range(600):
+        n, dim = int(rng.integers(1, 12)), int(rng.integers(1, 4))
+        times = np.cumsum(rng.exponential(size=n + 1)) if k % 2 else np.linspace(0.0, 1.0, n + 1)
+        path = Path(times + rng.normal(), rng.normal(size=(n + 1, dim)) * 10.0 ** rng.integers(-5, 5))
+        whole = _finite_deltas(path)
+        assert np.array_equal(whole, np.diff(path.points, axis=0))
+        assert np.array_equal(whole, _finite_deltas(path, (path.start_time, path.end_time)))
 
 
 def test_increment_sequence_validation():

@@ -550,6 +550,13 @@ class TestSeriesOracle:
             series_oracle(big, tol=1e-10)
         assert "achievable" in str(err.value)
 
+    def test_tol_must_be_positive(self):
+        for tol in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError, match="tol must be positive"):
+                series_oracle(line([1.0]), tol=tol)
+            with pytest.raises(DomainError, match="tol must be positive"):
+                sdkernel.series_gram([line([1.0])], [line([0.5])], tol=tol)
+
     def test_tail_bound_decreases(self):
         assert series_tail_bound(1.0, 8) > series_tail_bound(1.0, 12) > 0.0
         assert series_tail_bound(0.0, 0) == 0.0

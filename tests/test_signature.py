@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from sigdev import (
     DomainError,
     IncrementSequence,
+    NumericError,
     Partition,
     Path,
     ResourceLimitError,
@@ -352,6 +354,19 @@ class TestSignatureKernel:
         with pytest.raises(DomainError):
             signature_kernel_truncated(line([1.0]), line([1.0, 0.0]))
 
+    def test_overflow_is_a_numeric_error_without_warnings(self):
+        # a level-8 coefficient of 1e50^8 / 8! overflows while signing; one of
+        # 1e25^8 / 8! = 2.5e195 is finite, but its pairing overflows
+        for size in (1e50, 1e25):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(NumericError, match="overflows"):
+                    signature_kernel_truncated(line([size]), line([size]), level=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericError, match="signature overflows"):
+                truncated_signature(line([1e50, 1.0]), level=8)
+
 
 class TestLevelForRemainder:
     def test_monotone_in_tolerance(self):
@@ -362,6 +377,11 @@ class TestLevelForRemainder:
     def test_infeasible_raises(self):
         with pytest.raises(ResourceLimitError):
             level_for_remainder(50.0, 10, 1e-12)
+
+    def test_tol_must_be_positive(self):
+        for tol in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError, match="tol must be positive"):
+                level_for_remainder(1.0, 2, tol)
 
 
 @settings(max_examples=20, deadline=None)
