@@ -111,11 +111,11 @@ A Gram of path pairs splits each pair's grid (``_pair_values``).  The
 increments of gamma * <-sigma are gamma's m jumps, then the s jumps of
 <-sigma, n = m + s.  A cell K[a][b] depends only on the jumps a..b-1, so
 the block of rows and columns 0..m is gamma's own grid and the block
-m..n is <-sigma's own grid.  Each path's own grid is solved once per Gram
-and side, in the batches above, and kept as a ``_Side``.  Per pair only
-the rectangle of rows 0..m-1 and columns m+1..n is solved, by the same
-loop as the own grids, from a stack that holds the parts of the pair's
-grid and weights that it reads:
+m..n is <-sigma's own grid.  Each path's own grid is solved in the
+batches above and kept whole, with its solved Gram, as a ``_Side``, the
+same on either side of a pair.  Per pair only the rectangle of rows
+0..m-1 and columns m+1..n is solved, by the same loop as the own grids,
+from a stack into which the pair's two sides copy the parts that it reads:
 
 * left-point: a (count, s, n) weight stack, held column by column
   (``_explicit_rectangles``), and a (count, m+1, n+1) grid stack.  The
@@ -131,8 +131,9 @@ grid and weights that it reads:
   n + 1 - s = m + 1, the grid stack's s columns.  The weight stack's rows
   are gamma's solved Gram, whose diagonal gives the divisors, then the
   cross Gram, which the loop turns into weights.  The grid stack's rows
-  m..n-1 are <-sigma's own grid, whose diagonal r = b stays 0 during the
-  solve, as the whole grid's does, so each product runs over r < b only.
+  m..n-1 are <-sigma's own grid K[0..s-1][1..s], whose diagonal K[r][r],
+  r >= 1, is zeroed once per batch: it stays 0 during the solve, as the
+  whole grid's does, so each product runs over r < b only.
   Pairs are batched by s, each in the trailing block of its slot (its
   bottom row on the slot's last), sorted by m, largest first.
 
@@ -147,12 +148,18 @@ gamma's zero triangle as an own grid does.
 
 Each stack of a rectangle batch holds at most ``_BATCH_CELLS`` cells
 unless the batch holds a single pair, and a Gram's batches, own grids and
-rectangles alike, share one workspace.  The kept sides hold about
-(n+1)^2 cells per path that a rectangle reads; a path paired only with
-paths of no jump, as in ``converge``, keeps only its corner K[0][n].
-When one side's paths need more than ``_OWN_CELLS`` = 2^20 (8 MiB), they
-are taken in chunks, and the column paths are solved again for each chunk
-of row paths only when they do not fit at once.
+rectangles alike, share one workspace.  A kept side holds its Gram and its
+grid, about 2 (n+1)^2 cells, for a path that a rectangle reads; a path
+paired only with paths of no jump, as in ``converge``, keeps only its
+corner K[0][n].  The row paths and the column paths are each taken in
+chunks of at most ``_OWN_CELLS`` / 2 cells of (n+1)^2, so the sides of a
+chunk hold at most ``_OWN_CELLS`` = 2^20 cells (8 MiB).  For each row
+chunk and column chunk that share a pair, the own grids of both chunks are
+solved in one stream of batches, then the rectangles of their pairs.  When
+each side fits in one chunk, as a pair's always does, every own grid is
+solved once; when a side needs two or more chunks, each chunk's own grids
+are solved again for every chunk of the other side that it shares a pair
+with.
 
 A grid or Gram that is not finite (an increment too large to square)
 raises ``NumericError``; numpy's overflow warnings are silenced, since
@@ -217,13 +224,6 @@ def _carve(workspace: np.ndarray, *shapes: tuple[int, ...]) -> list[np.ndarray]:
     flat = workspace[: ends[-1]]
     flat[:] = 0.0
     return [flat[end - math.prod(shape) : end].reshape(shape) for shape, end in zip(shapes, ends)]
-
-
-def _stacks(count: int, n: int, workspace: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Zeroed (count, n, n) Gram and (count, n+1, n+1) grid stacks, carved
-    from ``workspace`` when they fit in it."""
-    grams, grids = _carve(workspace, (count, n, n), (count, n + 1, n + 1))
-    return grams, grids
 
 
 def _active(sizes: Sequence[int], n: int) -> list[int]:
@@ -355,7 +355,8 @@ def _own_grids(grams: Sequence[np.ndarray], implicit: bool, workspace: np.ndarra
             size = sizes[0] + 1
             grids[batch[0]] = _grids(grams[batch[0]][None], sizes, implicit, np.zeros((1, size, size)))[0]
             continue
-        stack, solved = _stacks(len(batch), sizes[0], workspace)
+        n = sizes[0]
+        stack, solved = _carve(workspace, (len(batch), n, n), (len(batch), n + 1, n + 1))
         for slot, k in enumerate(batch):
             _block(stack, slot, sizes[slot], implicit)[...] = grams[k]
         _grids(stack, sizes, implicit, solved)
@@ -366,48 +367,32 @@ def _own_grids(grams: Sequence[np.ndarray], implicit: bool, workspace: np.ndarra
 
 
 class _Side(NamedTuple):
-    """What the rectangles of a path's pairs take from its own grid K, for
-    a path of n jumps D on one side of gamma * <-sigma (see the module
-    docstring).  ``block`` is, for left-point gamma, the rows K[0..n-1];
-    for left-point <-sigma and right-point gamma, its solved Gram, which
-    holds its own weights, K[q+1][c] <D[c], D[q]> in row c below the
+    """A path of n jumps D on either side of gamma * <-sigma (module
+    docstring), as its rectangles read it: ``weights`` is its solved Gram
+    and ``grid`` its own grid K, as ``_own_grids`` left them.  The Gram
+    holds the path's own weights, K[q+1][c] <D[c], D[q]> in row c below the
     diagonal (left-point) or K[c+1][q+1] <D[c], D[q]> in row c above it
-    (right-point), and <D[c], D[c]> on it; for right-point <-sigma, K[r][b]
-    for b >= 1 with the diagonal r = b zeroed.  ``edge`` is K[0] for
-    left-point <-sigma.  ``corner`` is K[0][n], the value of a pair whose
-    other side has no jump.  A side that no rectangle reads (no pair with
-    jumps on both sides holds its path) keeps only the corner."""
+    (right-point), and <D[c], D[c]> on it.  ``corner`` is K[0][n], the
+    value of a pair whose other side has no jump.  A side that no rectangle
+    reads (no pair with jumps on both sides holds its path) keeps only the
+    corner."""
 
     deltas: np.ndarray
-    block: np.ndarray
-    edge: np.ndarray
+    weights: np.ndarray
+    grid: np.ndarray
     corner: float
 
 
-def _side(deltas: np.ndarray, weights: np.ndarray, grid: np.ndarray, implicit: bool, column: bool, crossed: bool) -> _Side:
-    n = len(deltas)
-    corner = float(grid[0, n])
-    if not crossed:
-        return _Side(deltas, np.empty(0), np.empty(0), corner)
-    if implicit and column:
-        block = grid[:n, 1:].copy()
-        np.fill_diagonal(block[1:], 0.0)
-        return _Side(deltas, block, np.empty(0), corner)
-    if implicit:
-        return _Side(deltas, weights, np.empty(0), corner)
-    if column:
-        return _Side(deltas, weights, grid[0].copy(), corner)
-    return _Side(deltas, grid[:n], np.empty(0), corner)
-
-
-def _sides(
-    paths: Sequence[np.ndarray], implicit: bool, column: bool, crossed: Sequence[bool], workspace: np.ndarray
-) -> list[_Side]:
-    """Each path's own grid, solved together, reduced to its ``_Side``;
-    ``crossed`` tells for each path whether a rectangle reads its side."""
+def _sides(paths: Sequence[np.ndarray], implicit: bool, crossed: Sequence[bool], workspace: np.ndarray) -> list[_Side]:
+    """Each path's own grid, solved together, as its ``_Side``; ``crossed``
+    tells for each path whether a rectangle reads its side."""
     weights = [_inner(deltas, deltas) for deltas in paths]  # each Gram, until its grid is solved
     grids = _own_grids(weights, implicit, workspace)
-    return [_side(*own, implicit, column, read) for *own, read in zip(paths, weights, grids, crossed)]
+    empty = np.empty(0)
+    return [
+        _Side(deltas, gram, grid, float(grid[0, -1])) if read else _Side(deltas, empty, empty, float(grid[0, -1]))
+        for deltas, gram, grid, read in zip(paths, weights, grids, crossed)
+    ]
 
 
 def _explicit_rectangles(rows: Sequence[_Side], columns: Sequence[_Side], workspace: np.ndarray) -> list[np.ndarray]:
@@ -420,10 +405,10 @@ def _explicit_rectangles(rows: Sequence[_Side], columns: Sequence[_Side], worksp
     grids, weights = _carve(workspace, (count, m + 1, m + widest + 1), (count, m + widest, widest))
     for k, (row, column) in enumerate(zip(rows, columns)):
         s = sizes[k]
-        grids[k, :m, : m + 1] = row.block
-        grids[k, m, m : m + s + 1] = column.edge
+        grids[k, :m, : m + 1] = row.grid[:m]
+        grids[k, m, m : m + s + 1] = column.grid[0]
         _inner(row.deltas, column.deltas, out=weights[k, :m, :s])
-        weights[k, m : m + s, :s] = column.block.T
+        weights[k, m : m + s, :s] = column.weights.T
     _grids(weights.mT, sizes, False, grids)
     return [grids[k, :m, m + 1 : m + s + 1] for k, s in enumerate(sizes)]
 
@@ -436,26 +421,24 @@ def _implicit_rectangles(rows: Sequence[_Side], columns: Sequence[_Side], worksp
     grids, weights = _carve(workspace, (count, top + s, s), (count, top, top + s))
     for k, (row, column) in enumerate(zip(rows, columns)):
         start = top - sizes[k]
-        grids[k, top:] = column.block
-        weights[k, start:, start:top] = row.block
+        grids[k, top:] = column.grid[:s, 1:]
+        weights[k, start:, start:top] = row.weights
         _inner(row.deltas, column.deltas, out=weights[k, start:, top:])
+    diagonal = np.arange(s - 1)
+    grids[:, top + 1 + diagonal, diagonal] = 0.0  # <-sigma's K[r][r], r >= 1: 0 during the solve
     _grids(weights, sizes, True, grids)
     return [grids[k, top - m : top] for k, m in enumerate(sizes)]
 
 
 def _rectangles(
-    rows: Mapping[int, _Side],
-    columns: Mapping[int, _Side],
-    pairs: Sequence[tuple[int, int]],
-    implicit: bool,
-    workspace: np.ndarray,
+    sides: Mapping[int, _Side], pairs: Sequence[tuple[int, int]], implicit: bool, workspace: np.ndarray
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Solve the rectangle K[0..m-1][m+1..n] of every pair (i, j) whose
-    sides rows[i] and columns[j] both have jumps, batch by batch; yield
-    (k, rectangle) for pairs[k], the (m, s) rectangle a view that the next
-    batch overwrites."""
-    m_of = [len(rows[i].deltas) for i, _ in pairs]
-    s_of = [len(columns[j].deltas) for _, j in pairs]
+    """Solve the rectangle K[0..m-1][m+1..n] of every pair (i, j), gamma's
+    side sides[i] and <-sigma's sides[j], that has jumps on both sides,
+    batch by batch; yield (k, rectangle) for pairs[k], the (m, s) rectangle
+    a view that the next batch overwrites."""
+    m_of = [len(sides[i].deltas) for i, _ in pairs]
+    s_of = [len(sides[j].deltas) for _, j in pairs]
     key, other = (s_of, m_of) if implicit else (m_of, s_of)
     order = sorted((k for k in range(len(pairs)) if m_of[k] and s_of[k]), key=lambda k: (key[k], -other[k]))
     solve = _implicit_rectangles if implicit else _explicit_rectangles
@@ -467,7 +450,7 @@ def _rectangles(
         per_batch = max(1, _BATCH_CELLS // slots)
         for start in range(0, len(group), per_batch):
             batch = group[start : start + per_batch]
-            solved = solve([rows[pairs[k][0]] for k in batch], [columns[pairs[k][1]] for k in batch], workspace)
+            solved = solve([sides[pairs[k][0]] for k in batch], [sides[pairs[k][1]] for k in batch], workspace)
             yield from zip(batch, solved)
 
 
@@ -479,24 +462,23 @@ def _pair_values(
     with the jumps rows[i] and <-sigma with the jumps columns[j]."""
     values = np.empty(len(pairs))
     workspace = np.empty(2 * _BATCH_CELLS)  # shared by every batch, own grids and rectangles
-    crossed = [(i, j) for i, j in pairs if len(rows[i]) and len(columns[j])]
-    crossed_rows, crossed_columns = {i for i, _ in crossed}, {j for _, j in crossed}
+    paths = [*rows, *columns]  # column j is path len(rows) + j
+    pairs = [(i, len(rows) + j) for i, j in pairs]
 
-    def column_sides(chunk):
-        paths, read = [columns[j] for j in chunk], [j in crossed_columns for j in chunk]
-        return dict(zip(chunk, _sides(paths, implicit, True, read, workspace)))
+    def chunks(ids):  # a kept side holds its Gram and its grid, about 2 (n+1)^2 cells
+        return [dict.fromkeys(chunk) for chunk in _batched(((len(paths[k]) + 1, k) for k in ids), _OWN_CELLS // 2)]
 
-    column_chunks = list(_batched(((len(deltas) + 1, j) for j, deltas in enumerate(columns)), _OWN_CELLS))
-    held = [column_sides(chunk) for chunk in column_chunks] if len(column_chunks) == 1 else None
-    for row_chunk in _batched(((len(deltas) + 1, i) for i, deltas in enumerate(rows)), _OWN_CELLS):
-        paths, read = [rows[i] for i in row_chunk], [i in crossed_rows for i in row_chunk]
-        row_sides = dict(zip(row_chunk, _sides(paths, implicit, False, read, workspace)))
-        for sides in held or map(column_sides, column_chunks):
-            chunk = [k for k, (i, j) in enumerate(pairs) if i in row_sides and j in sides]
-            for k in chunk:  # a pair with no jump on one side; the rectangles overwrite the rest
-                i, j = pairs[k]
-                values[k] = sides[j].corner if len(rows[i]) == 0 else row_sides[i].corner
-            for k, rectangle in _rectangles(row_sides, sides, [pairs[k] for k in chunk], implicit, workspace):
-                values[chunk[k]] = rectangle[0, -1]
+    for row_chunk, column_chunk in itertools.product(chunks(range(len(rows))), chunks(range(len(rows), len(paths)))):
+        chunk = [k for k, (i, j) in enumerate(pairs) if i in row_chunk and j in column_chunk]
+        if not chunk:
+            continue
+        crossed = [(i, j) for i, j in (pairs[k] for k in chunk) if len(paths[i]) and len(paths[j])]
+        read = {k for pair in crossed for k in pair}
+        ids = [*row_chunk, *column_chunk]
+        sides = dict(zip(ids, _sides([paths[k] for k in ids], implicit, [k in read for k in ids], workspace)))
+        for k in chunk:  # a pair with no jump on one side; the rectangles overwrite the rest
+            i, j = pairs[k]
+            values[k] = sides[j].corner if len(paths[i]) == 0 else sides[i].corner
+        for k, rectangle in _rectangles(sides, [pairs[k] for k in chunk], implicit, workspace):
+            values[chunk[k]] = rectangle[0, -1]
     return values
-

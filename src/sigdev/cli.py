@@ -118,6 +118,8 @@ def cmd_converge(args) -> int:
         raise DomainError(f"converge needs a grid scheme ({', '.join(_GRID_KERNELS)}), not {args.scheme!r}")
     path = _load_converge_path(args)
     tol = args.tol if args.tol is not None else 1e-8
+    if not tol > 0:
+        raise DomainError("tol must be positive")
     # refuse an overflowing segment, or a largest grid past the budget, before any route runs
     _refined_deltas(path, dyadic_order=max(args.dyadic, default=0), max_cells=_GRID_CELLS)
     if path.dim == 1:

@@ -55,8 +55,12 @@ class Path:
             raise DomainError("times and points must have equal length >= 1")
         if not np.all(np.isfinite(times)) or not np.all(np.isfinite(points)):
             raise DomainError("path coordinates must be finite")
-        if len(times) > 1 and not np.all(np.diff(times) > 0):
+        with np.errstate(over="ignore"):
+            steps = np.diff(times)
+        if not np.all(steps > 0):
             raise DomainError("times must be strictly increasing")
+        if not np.all(np.isfinite(steps)):
+            raise DomainError("time steps must be finite")
         object.__setattr__(self, "times", _as_readonly(times))
         object.__setattr__(self, "points", _as_readonly(points))
 
@@ -97,8 +101,12 @@ class Partition:
             raise DomainError("a partition needs at least one knot")
         if not np.all(np.isfinite(knots)):
             raise DomainError("knots must be finite")
-        if len(knots) > 1 and not np.all(np.diff(knots) > 0):
+        with np.errstate(over="ignore"):
+            steps = np.diff(knots)
+        if not np.all(steps > 0):
             raise DomainError("knots must be strictly increasing")
+        if not np.all(np.isfinite(steps)):
+            raise DomainError("knot steps must be finite")
         object.__setattr__(self, "knots", _as_readonly(knots))
 
     def __len__(self) -> int:
@@ -284,6 +292,8 @@ def _refined_deltas(
     than ``max_cells`` cells, (n+1)^2, is refused before its jumps are
     formed.
     """
+    if mesh is not None and not mesh > 0:
+        raise DomainError("mesh must be positive")
     deltas = _finite_deltas(path)
     if mesh is not None:
         splits = _variation_splits(deltas, mesh)

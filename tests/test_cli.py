@@ -20,6 +20,7 @@ from sigdev import (
     gram,
     k_sd,
     read_path_csv,
+    scaled,
     write_path_csv,
     write_paths_jsonl,
 )
@@ -346,7 +347,7 @@ class TestNonPositiveTolExits2:
     every route that reads one: exit 2, one error line, and no numpy
     warning."""
 
-    @pytest.mark.parametrize("tol", ["nan", "0"])
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1"])
     @pytest.mark.parametrize(
         "argv",
         [
@@ -355,14 +356,50 @@ class TestNonPositiveTolExits2:
             ["gram", "a.jsonl"],
             ["mmd", "a.jsonl", "a.jsonl"],
             ["converge", "a.csv", "--lambda", "0", "--matrix-dim", ""],
+            # d = 1, whose reference is the Bessel value, which reads no tol
+            ["converge", "line.csv", "--lambda", "0", "--matrix-dim", ""],
         ],
     )
     def test_exits_2_without_warnings(self, tmp_path, capsys, argv, tol):
         path = gen_fbm(0.75, 16, 2, 7)
         write_path_csv(path, tmp_path / "a.csv")
         write_paths_jsonl(["a"], [path], tmp_path / "a.jsonl")
-        argv = [str(tmp_path / a) if a.startswith("a.") else a for a in argv]
+        write_line_csv(tmp_path, "line.csv", [1.0])
+        argv = [str(tmp_path / a) if a.endswith((".csv", ".jsonl")) else a for a in argv]
         assert assert_refused([*argv, "--tol", tol], capsys, 2) == "error: tol must be positive"
+
+
+class TestNonPositiveMeshExits2:
+    """A grid kernel's ``--mesh`` that is not positive, NaN included: exit
+    2, one error line naming the flag, and no numpy warning."""
+
+    @pytest.mark.parametrize("mesh", ["0", "nan", "-1"])
+    @pytest.mark.parametrize("kernel", ["sd_explicit", "sd_implicit"])
+    @pytest.mark.parametrize("command", [["gram", "a.jsonl"], ["mmd", "a.jsonl", "a.jsonl"]])
+    def test_exits_2_without_warnings(self, tmp_path, capsys, command, kernel, mesh):
+        write_paths_jsonl(["a"], [gen_fbm(0.75, 16, 2, 7)], tmp_path / "a.jsonl")
+        argv = [str(tmp_path / a) if a.endswith("jsonl") else a for a in command]
+        assert assert_refused([*argv, "--kernel", kernel, "--mesh", mesh], capsys, 2) == "error: mesh must be positive"
+
+
+class TestFarApartTimesExits2:
+    """Time stamps whose difference overflows (±1e308) are bad input, as an
+    overflowing segment is: exit 2, one error line, and no numpy warning."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kernel", "far.csv", "far.csv"],
+            ["kernel", "far.csv", "far.csv", "--scheme", "sig_truncated"],
+            ["gram", "far.jsonl"],
+            ["converge", "far.csv", "--lambda", "0", "--matrix-dim", ""],
+        ],
+    )
+    def test_exits_2_without_warnings(self, tmp_path, capsys, argv):
+        (tmp_path / "far.csv").write_text("t,x1\n-1e308,0\n1e308,1\n")
+        (tmp_path / "far.jsonl").write_text('{"id": "far", "t": [-1e308, 1e308], "x": [[0.0], [1.0]]}\n')
+        argv = [str(tmp_path / a) if a.startswith("far.") else a for a in argv]
+        assert assert_refused(argv, capsys, 2) == "error: time steps must be finite"
 
 
 class TestGridBudgetExits3:
@@ -501,10 +538,11 @@ class TestKernelNames:
 
 class TestSolversReachedThroughModule:
     """No command solves a whole grid through ``sdkernel.solve_*``.  A pair
-    of paths (``k_sd``, ``kernel``) and a Gram solve their own grids in
-    batches through ``backend._grids``, and their pairs' rectangles in
-    batches through the same solver.  ``converge`` runs the grid route
-    against a one-point path: one own grid per order, and no rectangle."""
+    of paths (``k_sd``, ``kernel``) and a Gram solve the own grids of both
+    sides in one stream of batches through ``backend._grids``, and their
+    pairs' rectangles in batches through the same solver.  ``converge``
+    runs the grid route against a one-point path: per order one batch of
+    the path's and the point's own grids, and no rectangle."""
 
     @pytest.fixture()
     def calls(self, monkeypatch):
@@ -533,22 +571,30 @@ class TestSolversReachedThroughModule:
         line = Path([0.0, 1.0], [[0.0], [0.5]])
         k_sd(line, line, "explicit", dyadic_order=1)
         k_sd(line, line, "implicit", dyadic_order=1)
-        # each pair: gamma's own grid, <-sigma's own grid, one rectangle
-        assert batches == [("own", 1), ("own", 1), ("cross", 1)] * 2
+        # each pair: gamma's and <-sigma's own grids in one batch, then one rectangle
+        assert batches == [("own", 2), ("cross", 1)] * 2
+        assert calls == {}
+
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    def test_k_sd_on_the_readme_pair_solves_one_batch_of_each_kind(self, calls, batches, scheme):
+        gamma, sigma = (scaled(gen_fbm(0.75, 16, 2, seed), 0.25) for seed in (7, 3))
+        k_sd(gamma, sigma, scheme, dyadic_order=0)
+        # the two paths' own grids, 15 jumps each, in one batch; then the one rectangle
+        assert batches == [("own", 2), ("cross", 1)]
         assert calls == {}
 
     def test_gram_solves_its_pairs_in_one_batch(self, calls, batches):
         sample = PathSample(tuple(Path([0.0, 1.0], [[0.0], [v]]) for v in (0.2, 0.3, 0.4)))
         gram(sample, None, "sd_explicit", KernelSpec(mesh=0.2))
-        # one batch of own grids per side, then one batch of rectangles per m
+        # one batch of both sides' own grids, then one batch of rectangles per m
         # (the paths have 1, 2 and 2 jumps)
-        assert batches == [("own", 3), ("own", 3), ("cross", 3), ("cross", 3)]
+        assert batches == [("own", 6), ("cross", 3), ("cross", 3)]
         assert calls == {}
 
     def test_kernel_command(self, tmp_path, calls, batches, capsys):
         a = write_line_csv(tmp_path, "l.csv", [0.5])
         assert main(["kernel", a, a, "--scheme", "implicit", "--lambda", "2"]) == 0
-        assert batches == [("own", 1), ("own", 1), ("cross", 1)]
+        assert batches == [("own", 2), ("cross", 1)]
         assert calls == {}
 
     def test_converge_command(self, tmp_path, calls, batches):
@@ -557,8 +603,8 @@ class TestSolversReachedThroughModule:
         for scheme in ("explicit", "sd_implicit"):
             argv = ["converge", a, "--scheme", scheme, "--lambda", "0..2", "--matrix-dim", "", "--out", out]
             assert main(argv) == 0
-        # per order: the path's own grid and the one-point path's, no rectangle
-        assert batches == [("own", 1), ("own", 1)] * 6
+        # per order: one batch of the path's own grid and the one-point path's, no rectangle
+        assert batches == [("own", 2)] * 6
         assert calls == {}
 
 

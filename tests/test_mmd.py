@@ -332,8 +332,8 @@ class TestGridGrams:
         b = PathSample(paths_of_variation((0.1, 0.7), seed=190, segments=8))
         for solved in self.assert_equals_k_sd(a, b, 0.1, batches).values():
             own, cross = self.split(solved)
-            # each side's own grids, of different n, are one batch, largest first
-            assert [len(sizes) for sizes in own] == [2, 3]
+            # both sides' own grids, of different n, are one batch, largest first
+            assert [len(sizes) for sizes in own] == [2 + 3]
             for sizes in own:
                 assert sizes == sorted(sizes, reverse=True) and len(set(sizes)) == len(sizes)
             # the rectangles: every pair once, each batch largest first, some mixing sizes
@@ -347,9 +347,9 @@ class TestGridGrams:
         sample = PathSample((point, make_piecewise_linear(200, 4, 2, 0.5), other))
         for solved in self.assert_equals_k_sd(sample, None, 0.1, batches).values():
             own, cross = self.split(solved)
-            # each one-point path has an empty own grid on each side, and only
-            # the pair of the other path with itself has a rectangle to solve
-            assert [sizes.count(0) for sizes in own] == [2, 2]
+            # each one-point path has an empty own grid on each side, all in one
+            # batch, and only the pair of the other path with itself has a rectangle
+            assert [sizes.count(0) for sizes in own] == [2 * 2]
             assert [sizes for sizes, _ in cross] == [[max(own[0])]]
         values = gram(PathSample((point, other)), None, "sd_implicit", KernelSpec(mesh=0.1)).values
         assert values.tolist() == [[1.0, 1.0], [1.0, 1.0]]

@@ -48,6 +48,19 @@ class TestPathValidation:
         with pytest.raises(DomainError):
             Path([0.0, 1.0], [[0.0], [np.nan]])
 
+    def test_time_steps_that_overflow_are_refused_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match="time steps must be finite"):
+                Path([-1e308, 1e308], [[0.0], [1.0]])
+            with pytest.raises(DomainError, match="knot steps must be finite"):
+                Partition([-1e308, 1e308])
+            with pytest.raises(DomainError, match="knots must be strictly increasing"):
+                Partition([1e308, -1e308])
+            # the widest steps that do not overflow are accepted
+            assert Path([-8e307, 8e307], [[0.0], [1.0]]).end_time == 8e307
+            assert len(Partition([-8e307, 8e307])) == 2
+
     def test_single_point_path_is_legal(self):
         p = Path([2.0], [[1.0, -1.0]])
         assert p.dim == 2

@@ -261,9 +261,8 @@ def _cross_rectangle(gamma, sigma, implicit):
 def _rectangle(gamma, sigma, implicit):
     """The same rectangle, solved as ``backend._pair_values`` solves it."""
     workspace = np.empty(0)
-    (row,) = backend._sides([gamma], implicit, False, [True], workspace)
-    (column,) = backend._sides([sigma], implicit, True, [True], workspace)
-    ((_, rectangle),) = backend._rectangles({0: row}, {0: column}, [(0, 0)], implicit, workspace)
+    sides = dict(enumerate(backend._sides([gamma, sigma], implicit, [True, True], workspace)))
+    ((_, rectangle),) = backend._rectangles(sides, [(0, 1)], implicit, workspace)
     return rectangle
 
 
@@ -283,8 +282,9 @@ class TestBatchedGrids:
         sizes = [40, 33, 33, 9, 2, 1, 0]
         grams = [d @ d.T for d in (rng.normal(size=(n, 3)) * 0.1 for n in sizes)]
         workspace = np.full(2 * 41**2 * len(sizes), np.nan)  # a dirty workspace is zeroed
+        count, n = len(sizes), sizes[0]
         for implicit, loop in ((False, _column_loop), (True, _row_loop)):
-            stack, grids = backend._stacks(len(sizes), sizes[0], workspace)
+            stack, grids = backend._carve(workspace, (count, n, n), (count, n + 1, n + 1))
             for k, gram in enumerate(grams):
                 backend._block(stack, k, sizes[k], implicit)[...] = gram
             backend._grids(stack, sizes, implicit, grids)
@@ -293,10 +293,10 @@ class TestBatchedGrids:
 
     def test_stacks_past_the_workspace_are_fresh(self):
         workspace = np.zeros(10)
-        grams, grids = backend._stacks(2, 1, workspace)
+        grams, grids = backend._carve(workspace, (2, 1, 1), (2, 2, 2))
         assert grams.shape == (2, 1, 1) and grids.shape == (2, 2, 2)
         assert np.shares_memory(grids, workspace)
-        grams, grids = backend._stacks(1, 3, workspace)
+        grams, grids = backend._carve(workspace, (1, 3, 3), (1, 4, 4))
         assert not np.shares_memory(grids, workspace) and not grids.any()
 
     @staticmethod
@@ -672,14 +672,11 @@ class TestSplitGrids:
         deltas = np.random.default_rng(100 * m + s).normal(size=(m + s, 2)) * 0.1
         gamma, sigma = deltas[:m], deltas[m:]
         for implicit, loop in ((False, _column_loop), (True, _row_loop)):
-            grams = [gamma @ gamma.T, sigma @ sigma.T]
-            own = backend._own_grids(grams, implicit, np.empty(0))
-            row = backend._side(gamma, grams[0], own[0], implicit, False, True)
-            column = backend._side(sigma, grams[1], own[1], implicit, True, True)
+            row, column = backend._sides([gamma, sigma], implicit, [True, True], np.empty(0))
             got = np.zeros((m + s + 1,) * 2)
-            got[: m + 1, : m + 1] = own[0]
-            got[m:, m:] = own[1]
-            for _, rectangle in backend._rectangles({0: row}, {0: column}, [(0, 0)], implicit, np.empty(0)):
+            got[: m + 1, : m + 1] = row.grid
+            got[m:, m:] = column.grid
+            for _, rectangle in backend._rectangles({0: row, 1: column}, [(0, 1)], implicit, np.empty(0)):
                 got[:m, m + 1 :] = rectangle
             expected = loop(deltas @ deltas.T)
             # past one block, at roundoff of the grid's largest cell (about 1e4 at m = s = 300 left-point)
@@ -738,19 +735,25 @@ class TestSplitGrids:
 
     @pytest.fixture()
     def own(self, monkeypatch):
-        """(side, path) of every own grid solved, and the slots of each
-        ``_grids`` batch of own grids."""
-        solved, slots = [], []
+        """(side, path) of every own grid solved, the side "row" or "column"
+        by which of ``_pair_values``' arrays the path's jumps came from, and
+        the slots of each ``_grids`` batch of own grids."""
+        solved, slots, side_of = [], [], {}
 
-        def counted_sides(paths, implicit, column, crossed, workspace, _sides=backend._sides):
-            solved.extend(("column" if column else "row", id(deltas)) for deltas in paths)
-            return _sides(paths, implicit, column, crossed, workspace)
+        def labelled_pairs(rows, columns, pairs, implicit, _pair_values=backend._pair_values):
+            side_of.update({id(deltas): "row" for deltas in rows} | {id(deltas): "column" for deltas in columns})
+            return _pair_values(rows, columns, pairs, implicit)
+
+        def counted_sides(paths, implicit, crossed, workspace, _sides=backend._sides):
+            solved.extend((side_of[id(deltas)], id(deltas)) for deltas in paths)
+            return _sides(paths, implicit, crossed, workspace)
 
         def counted_grids(grams, sizes, implicit, grids, _grids=backend._grids):
             if batch_kind(grams) == "own":
                 slots.append(len(sizes))
             return _grids(grams, sizes, implicit, grids)
 
+        monkeypatch.setattr(backend, "_pair_values", labelled_pairs)
         monkeypatch.setattr(backend, "_sides", counted_sides)
         monkeypatch.setattr(backend, "_grids", counted_grids)
         return solved, slots
@@ -766,8 +769,8 @@ class TestSplitGrids:
         grid_gram(self.ROWS, columns, scheme, 1.0)
         assert Counter(side for side, _ in solved) == {"column": len(columns), "row": len(self.ROWS)}
         assert len(set(solved)) == len(solved)
-        # each side's own grids are one batch of the existing grid solver
-        assert slots == [len(columns), len(self.ROWS)]
+        # both sides' own grids are one batch of the existing grid solver
+        assert slots == [len(columns) + len(self.ROWS)]
 
     @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
     @pytest.mark.parametrize("two_samples", [False, True])
@@ -776,17 +779,20 @@ class TestSplitGrids:
         columns = self.COLUMNS if two_samples else self.ROWS
         expected = grid_gram(self.ROWS, columns, scheme, 1.0)
         solved.clear()
-        # every path is a chunk of its own, so each row chunk solves the columns again
+        # every path is a chunk of its own, so each pair solves the own grids of both its paths
         monkeypatch.setattr(backend, "_OWN_CELLS", 1)
         assert grid_gram(self.ROWS, columns, scheme, 1.0).tobytes() == expected.tobytes()
-        sides = Counter(side for side, _ in solved)
-        assert sides == {"row": len(self.ROWS), "column": len(self.ROWS) * len(columns)}
-        # a budget that holds one side whole solves it once
+        pairs = len(self.ROWS) * len(columns) if two_samples else len(self.ROWS) * (len(self.ROWS) + 1) // 2
+        assert Counter(side for side, _ in solved) == {"row": pairs, "column": pairs}
+        # a budget whose chunks hold the column side whole, at 2 (n+1)^2 cells a kept side: the
+        # rows (n + 1 = 7, 1, 10, 4) fit one chunk of 4 * 10^2 cells, or take two of 3 * 9^2 cells
+        # against COLUMNS (n + 1 = 9, 3, 6), each of which solves the column chunk again
         solved.clear()
         largest = max(len(paths._refined_deltas(p, 1.0)) + 1 for p in columns)
-        monkeypatch.setattr(backend, "_OWN_CELLS", len(columns) * largest**2)
+        monkeypatch.setattr(backend, "_OWN_CELLS", 2 * len(columns) * largest**2)
         assert grid_gram(self.ROWS, columns, scheme, 1.0).tobytes() == expected.tobytes()
-        assert Counter(side for side, _ in solved)["column"] == len(columns)
+        row_chunks = 2 if two_samples else 1
+        assert Counter(side for side, _ in solved) == {"row": len(self.ROWS), "column": row_chunks * len(columns)}
 
 
 @settings(max_examples=15, deadline=None)
