@@ -102,10 +102,12 @@ the grid solved alone, so it is equal bit for bit.  A batch of one grid is
 solved in place on its Gram; ``explicit_grid`` and ``implicit_grid`` solve
 a copy of theirs.
 
-A batch's grid stack holds at most ``_BATCH_CELLS`` = 2^16 float64 cells
-(512 KiB), unless it holds a single grid; its Gram stack is no larger.
-Both are carved from one workspace of twice that size, which every batch
-that fits reuses.
+Every stack is batched by ``_batched``: items in order, each with its
+slot's cells, a batch closed before one that would take count x largest
+slot past ``_BATCH_CELLS`` = 2^16 float64 cells (512 KiB), unless it
+holds one item.  An own grid's slot is its (n+1)^2 grid cells, its Gram's
+fewer; both stacks are carved from one workspace of twice that size,
+which every batch that fits reuses.
 
 A Gram of path pairs splits each pair's grid (``_pair_values``).  The
 increments of gamma * <-sigma are gamma's m jumps, then the s jumps of
@@ -146,20 +148,20 @@ m s (m + s/2) or m s (s + m/2) multiply-adds, where the whole grid takes
 n steps and n^3/3 (44 % fewer at m = s); a rectangle past one block skips
 gamma's zero triangle as an own grid does.
 
-Each stack of a rectangle batch holds at most ``_BATCH_CELLS`` cells
-unless the batch holds a single pair, and a Gram's batches, own grids and
-rectangles alike, share one workspace.  A kept side holds its Gram and its
-grid, about 2 (n+1)^2 cells, for a path that a rectangle reads; a path
-paired only with paths of no jump, as in ``converge``, keeps only its
-corner K[0][n].  The row paths and the column paths are each taken in
-chunks of at most ``_OWN_CELLS`` / 2 cells of (n+1)^2, so the sides of a
-chunk hold at most ``_OWN_CELLS`` = 2^20 cells (8 MiB).  For each row
-chunk and column chunk that share a pair, the own grids of both chunks are
-solved in one stream of batches, then the rectangles of their pairs.  When
-each side fits in one chunk, as a pair's always does, every own grid is
-solved once; when a side needs two or more chunks, each chunk's own grids
-are solved again for every chunk of the other side that it shares a pair
-with.
+A key's pairs come largest slot first, a slot of (m+s+1)(max(m,s)+1)
+cells, no fewer than either stack takes in it; a later batch of a key may
+hold more pairs, never more cells.  A Gram's batches, own grids and
+rectangles alike, share one workspace.
+
+A side holds about 2 (n+1)^2 cells; its corner K[0][n] is the value of a
+pair whose other side has no jump.  Each side's paths are chunked by
+``_batched`` at that many cells a path against ``_OWN_CELLS`` = 2^20.  The side with fewer chunks
+(rows on a tie) is held a chunk at a time, and the other side's chunks
+stream past it: each that shares a pair with the held chunk has its own
+grids solved, with the held chunk's the first time, then its pairs'
+rectangles, and is dropped.  So a held path's own grid is solved once and
+a streamed path's once per held chunk that it shares a pair with, and a
+one-pair ``k_sd`` makes one batch of own grids and one of rectangles.
 
 A grid or Gram that is not finite (an increment too large to square)
 raises ``NumericError``; numpy's overflow warnings are silenced, since
@@ -191,16 +193,16 @@ _Item = TypeVar("_Item")
 
 
 def _batched(items: Iterable[tuple[int, _Item]], cells: int = _BATCH_CELLS) -> Iterator[list[_Item]]:
-    """Group ``(size, item)`` pairs, in order, into batches whose grid stack
-    (count x largest size x largest size) holds at most ``cells`` cells.
-    A grid larger than that gets a batch of its own."""
+    """Group ``(slot cells, item)`` pairs, in order, into batches whose
+    stack (count x the largest slot) holds at most ``cells`` cells.  An item
+    whose slot is larger than that gets a batch of its own."""
     batch: list[_Item] = []
     largest = 0
-    for size, item in items:
-        grown = max(largest, size)
-        if batch and (len(batch) + 1) * grown * grown > cells:
+    for slot, item in items:
+        grown = max(largest, slot)
+        if batch and (len(batch) + 1) * grown > cells:
             yield batch
-            batch, grown = [], size
+            batch, grown = [], slot
         batch.append(item)
         largest = grown
     if batch:
@@ -349,7 +351,7 @@ def _own_grids(grams: Sequence[np.ndarray], implicit: bool, workspace: np.ndarra
     stack or block copy."""
     order = sorted(range(len(grams)), key=lambda k: -len(grams[k]))
     grids: list[np.ndarray] = [np.empty(0)] * len(grams)
-    for batch in _batched((len(grams[k]) + 1, k) for k in order):
+    for batch in _batched(((len(grams[k]) + 1) ** 2, k) for k in order):
         sizes = [len(grams[k]) for k in batch]
         if len(batch) == 1:
             size = sizes[0] + 1
@@ -368,31 +370,21 @@ def _own_grids(grams: Sequence[np.ndarray], implicit: bool, workspace: np.ndarra
 
 class _Side(NamedTuple):
     """A path of n jumps D on either side of gamma * <-sigma (module
-    docstring), as its rectangles read it: ``weights`` is its solved Gram
-    and ``grid`` its own grid K, as ``_own_grids`` left them.  The Gram
-    holds the path's own weights, K[q+1][c] <D[c], D[q]> in row c below the
-    diagonal (left-point) or K[c+1][q+1] <D[c], D[q]> in row c above it
-    (right-point), and <D[c], D[c]> on it.  ``corner`` is K[0][n], the
-    value of a pair whose other side has no jump.  A side that no rectangle
-    reads (no pair with jumps on both sides holds its path) keeps only the
-    corner."""
+    docstring): ``weights`` is its solved Gram and ``grid`` its own grid K,
+    as ``_own_grids`` left them.  The Gram holds the path's own weights,
+    K[q+1][c] <D[c], D[q]> in row c below the diagonal (left-point) or
+    K[c+1][q+1] <D[c], D[q]> in row c above it (right-point), and
+    <D[c], D[c]> on it."""
 
     deltas: np.ndarray
     weights: np.ndarray
     grid: np.ndarray
-    corner: float
 
 
-def _sides(paths: Sequence[np.ndarray], implicit: bool, crossed: Sequence[bool], workspace: np.ndarray) -> list[_Side]:
-    """Each path's own grid, solved together, as its ``_Side``; ``crossed``
-    tells for each path whether a rectangle reads its side."""
+def _sides(paths: Sequence[np.ndarray], implicit: bool, workspace: np.ndarray) -> list[_Side]:
+    """Each path's own grid, solved together, as its ``_Side``."""
     weights = [_inner(deltas, deltas) for deltas in paths]  # each Gram, until its grid is solved
-    grids = _own_grids(weights, implicit, workspace)
-    empty = np.empty(0)
-    return [
-        _Side(deltas, gram, grid, float(grid[0, -1])) if read else _Side(deltas, empty, empty, float(grid[0, -1]))
-        for deltas, gram, grid, read in zip(paths, weights, grids, crossed)
-    ]
+    return list(map(_Side, paths, weights, _own_grids(weights, implicit, workspace)))
 
 
 def _explicit_rectangles(rows: Sequence[_Side], columns: Sequence[_Side], workspace: np.ndarray) -> list[np.ndarray]:
@@ -443,13 +435,9 @@ def _rectangles(
     order = sorted((k for k in range(len(pairs)) if m_of[k] and s_of[k]), key=lambda k: (key[k], -other[k]))
     solve = _implicit_rectangles if implicit else _explicit_rectangles
     for _, group in itertools.groupby(order, key=key.__getitem__):
-        group = list(group)
-        # cells of each stack in a pair's slot, at most; the group's first pair has the largest
-        m, s = m_of[group[0]], s_of[group[0]]
-        slots = (m + s + 1) * (max(m, s) + 1)
-        per_batch = max(1, _BATCH_CELLS // slots)
-        for start in range(0, len(group), per_batch):
-            batch = group[start : start + per_batch]
+        # the cells of each stack in a pair's slot, at most
+        slots = (((m_of[k] + s_of[k] + 1) * (max(m_of[k], s_of[k]) + 1), k) for k in group)
+        for batch in _batched(slots):
             solved = solve([sides[pairs[k][0]] for k in batch], [sides[pairs[k][1]] for k in batch], workspace)
             yield from zip(batch, solved)
 
@@ -465,20 +453,25 @@ def _pair_values(
     paths = [*rows, *columns]  # column j is path len(rows) + j
     pairs = [(i, len(rows) + j) for i, j in pairs]
 
-    def chunks(ids):  # a kept side holds its Gram and its grid, about 2 (n+1)^2 cells
-        return [dict.fromkeys(chunk) for chunk in _batched(((len(paths[k]) + 1, k) for k in ids), _OWN_CELLS // 2)]
+    def chunks(ids):  # a side holds its Gram and its grid, about 2 (n+1)^2 cells
+        return [dict.fromkeys(chunk) for chunk in _batched(((2 * (len(paths[k]) + 1) ** 2, k) for k in ids), _OWN_CELLS)]
 
-    for row_chunk, column_chunk in itertools.product(chunks(range(len(rows))), chunks(range(len(rows), len(paths)))):
-        chunk = [k for k, (i, j) in enumerate(pairs) if i in row_chunk and j in column_chunk]
-        if not chunk:
-            continue
-        crossed = [(i, j) for i, j in (pairs[k] for k in chunk) if len(paths[i]) and len(paths[j])]
-        read = {k for pair in crossed for k in pair}
-        ids = [*row_chunk, *column_chunk]
-        sides = dict(zip(ids, _sides([paths[k] for k in ids], implicit, [k in read for k in ids], workspace)))
-        for k in chunk:  # a pair with no jump on one side; the rectangles overwrite the rest
-            i, j = pairs[k]
-            values[k] = sides[j].corner if len(paths[i]) == 0 else sides[i].corner
-        for k, rectangle in _rectangles(sides, [pairs[k] for k in chunk], implicit, workspace):
-            values[chunk[k]] = rectangle[0, -1]
+    # hold the side with fewer chunks, rows on a tie, and stream the other side's chunks past it
+    held_chunks, streamed_chunks = sorted((chunks(range(len(rows))), chunks(range(len(rows), len(paths)))), key=len)
+    for held in held_chunks:
+        sides: dict[int, _Side] = {}  # the held chunk's, once its first streamed chunk solves them too
+        for streamed in streamed_chunks:
+            ids = held | streamed
+            chunk = [k for k, (i, j) in enumerate(pairs) if i in ids and j in ids]
+            if not chunk:
+                continue
+            new = [k for k in ids if k not in sides]
+            sides.update(zip(new, _sides([paths[k] for k in new], implicit, workspace)))
+            for k in chunk:  # a pair with no jump on one side; the rectangles overwrite the rest
+                i, j = pairs[k]
+                values[k] = sides[j if len(paths[i]) == 0 else i].grid[0, -1]
+            for k, rectangle in _rectangles(sides, [pairs[k] for k in chunk], implicit, workspace):
+                values[chunk[k]] = rectangle[0, -1]
+            for k in streamed:
+                del sides[k]
     return values

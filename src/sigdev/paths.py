@@ -359,12 +359,16 @@ def gen_fbm(hurst: float, n_points: int, dim: int, seed: int) -> Path:
 @contextmanager
 def _opened(file, mode: str):
     """The handle ``file``, or the file it names opened in ``mode`` ("r" or
-    "w", UTF-8, newlines written untranslated) and closed on exit."""
+    "w", UTF-8, newlines written untranslated) and closed on exit; a named
+    file that is not UTF-8 raises ``DomainError``."""
     if not (isinstance(file, (str, bytes)) or hasattr(file, "__fspath__")):
         yield file
         return
     with open(file, mode, encoding="utf-8", newline="" if mode == "w" else None) as handle:
-        yield handle
+        try:
+            yield handle
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"path file is not UTF-8 text: {exc}") from exc
 
 
 def write_path_csv(path: Path, file) -> None:

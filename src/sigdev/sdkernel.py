@@ -350,16 +350,17 @@ def grid_gram(
     No path of the concatenation is formed.  The grid of gamma * <-sigma,
     with m jumps from gamma and s from <-sigma, holds gamma's own grid in
     its rows and columns 0..m and <-sigma's own grid in m..m+s, since a
-    cell depends only on the jumps between its two knots.  So each path's
-    own grid is solved once per Gram, and per pair only the rectangle of
-    rows 0..m-1 and columns m+1..m+s between them: left-point column by
-    column, batched by m; right-point row by row, batched by s
+    cell depends only on the jumps between its two knots.  So own grids
+    are solved per path, and per pair only the rectangle of rows 0..m-1
+    and columns m+1..m+s between them: left-point column by column,
+    batched by m; right-point row by row, batched by s
     (:mod:`sigdev.backend`).  A pair with no jump on one side is the other
     side's own-grid corner.  With one sample, or ``paths_b is paths_a``,
     only i <= j is solved, then mirrored.  Every entry equals the pair
     solved alone (``k_sd``) bit for bit, and the whole grid (``solve_*``)
-    up to rounding.  The own grids kept alive are bounded by a fixed
-    budget; past it the paths are taken in chunks.  Raises
+    up to rounding.  Own grids are solved in chunks of a fixed budget:
+    once on the side with fewer chunks, on the other once per such chunk
+    that shares a pair.  Raises
     ``ResourceLimitError`` when the grid of a pair would have more than
     2^28 cells, before any Gram or grid is formed, and ``NumericError``
     when a Gram or grid overflows.

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 
@@ -400,6 +401,36 @@ class TestFarApartTimesExits2:
         (tmp_path / "far.jsonl").write_text('{"id": "far", "t": [-1e308, 1e308], "x": [[0.0], [1.0]]}\n')
         argv = [str(tmp_path / a) if a.startswith("far.") else a for a in argv]
         assert assert_refused(argv, capsys, 2) == "error: time steps must be finite"
+
+
+class TestNonUtf8FileExits2:
+    """A path file that is not UTF-8 is bad input: exit 2, one error line."""
+
+    @pytest.mark.parametrize("argv", [["kernel", "bad.csv", "bad.csv"], ["gram", "bad.jsonl"]])
+    def test_exits_2(self, tmp_path, capsys, argv):
+        (tmp_path / "bad.csv").write_bytes(b"t,x1\n0,\xff\n1,1\n")
+        (tmp_path / "bad.jsonl").write_bytes(b'{"id": "a", "t": [0, 1], "x": [[0], [1]]}\n{"id": "\xff"}\n')
+        argv = [str(tmp_path / a) if a.startswith("bad.") else a for a in argv]
+        line = assert_refused(argv, capsys, 2)
+        assert line.startswith("error: path file is not UTF-8 text: 'utf-8' codec can't decode byte 0xff")
+
+
+class TestHugeLevelExits3:
+    """A level whose signatures pass the coefficient budget is refused at
+    once: each path's count of coefficients is closed form, where a sum
+    term by term took 17 s at level 5e7 and never ended at 1e20."""
+
+    @pytest.mark.parametrize("level", ["40000000", "50000000"])
+    def test_d1_exits_3_at_once(self, tmp_path, capsys, level):
+        (tmp_path / "d1.csv").write_text("t,x1\n0,0\n1,0.5\n")
+        argv = ["kernel", str(tmp_path / "d1.csv"), str(tmp_path / "d1.csv"), "--scheme", "sig_truncated"]
+        start = time.perf_counter()
+        line = assert_refused([*argv, "--level", level], capsys, 3)
+        assert time.perf_counter() - start < 1.0
+        assert line == (
+            f"error: signatures of 1 paths take {int(level) + 1} coefficients, over the "
+            "40000000 coefficient budget of a Gram matrix"
+        )
 
 
 class TestGridBudgetExits3:

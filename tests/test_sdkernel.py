@@ -261,7 +261,7 @@ def _cross_rectangle(gamma, sigma, implicit):
 def _rectangle(gamma, sigma, implicit):
     """The same rectangle, solved as ``backend._pair_values`` solves it."""
     workspace = np.empty(0)
-    sides = dict(enumerate(backend._sides([gamma, sigma], implicit, [True, True], workspace)))
+    sides = dict(enumerate(backend._sides([gamma, sigma], implicit, workspace)))
     ((_, rectangle),) = backend._rectangles(sides, [(0, 1)], implicit, workspace)
     return rectangle
 
@@ -301,7 +301,7 @@ class TestBatchedGrids:
 
     @staticmethod
     def batch_sizes(sizes, cells=2**16):
-        return [[size for size, _ in batch] for batch in backend._batched(((s, (s, k)) for k, s in enumerate(sizes)), cells)]
+        return [[size for size, _ in batch] for batch in backend._batched(((s * s, (s, k)) for k, s in enumerate(sizes)), cells)]
 
     def test_batches_keep_order_and_the_cell_budget(self):
         sizes = [81, 80, 79, 81, 12, 200, 3, 256, 257, 1, 1, 90] + [81] * 20
@@ -409,7 +409,7 @@ class TestPanelledGrids:
         # two grids of B + 1 >= 182 rows pass the batch budget, so block edges never depend on a stack
         assert self.B >= 181 and 2 * 182**2 > backend._BATCH_CELLS
         sizes = [300, 257, 182, 181, 181, 90, 257, 3, 256, 2, 200, 200]
-        for batch in backend._batched((s, s) for s in sizes):
+        for batch in backend._batched((s * s, s) for s in sizes):
             assert len(batch) == 1 or max(batch) <= self.B
 
 
@@ -672,7 +672,7 @@ class TestSplitGrids:
         deltas = np.random.default_rng(100 * m + s).normal(size=(m + s, 2)) * 0.1
         gamma, sigma = deltas[:m], deltas[m:]
         for implicit, loop in ((False, _column_loop), (True, _row_loop)):
-            row, column = backend._sides([gamma, sigma], implicit, [True, True], np.empty(0))
+            row, column = backend._sides([gamma, sigma], implicit, np.empty(0))
             got = np.zeros((m + s + 1,) * 2)
             got[: m + 1, : m + 1] = row.grid
             got[m:, m:] = column.grid
@@ -721,6 +721,22 @@ class TestSplitGrids:
         self.assert_equals_k_sd(rows, columns, "implicit", values)
 
     @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    def test_later_batches_of_a_key_take_more_pairs_within_the_budget(self, rectangles, scheme):
+        # one key, 5 jumps, against 16 paths of 60 jumps, then 30 of 10: a slot of
+        # (5 + 60 + 1) * 61 = 4026 cells fills 16 to a batch, one of 16 * 11 = 176 takes all 30
+        key = (segments_path(1, 5),)
+        others = tuple(segments_path(seed, 60 if seed < 18 else 10) for seed in range(2, 48))
+        rows, columns = (others, key) if scheme == "implicit" else (key, others)
+        values = grid_gram(rows, columns, scheme, 1.0)
+        assert rectangles == [[60] * 16, [10] * 30]
+        for batch in rectangles:
+            assert len(batch) * (5 + batch[0] + 1) * (max(5, batch[0]) + 1) <= backend._BATCH_CELLS
+        assert 17 * 4026 > backend._BATCH_CELLS
+        for k, other in enumerate(others[15:17]):  # the last pair of the first batch, the first of the second
+            gamma, sigma = (other, key[0]) if scheme == "implicit" else (key[0], other)
+            assert values.flat[15 + k] == k_sd(gamma, sigma, scheme, mesh=1.0)
+
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
     def test_one_point_paths_on_either_side(self, rectangles, scheme):
         point, other = segments_path(1, 0), segments_path(2, 0)
         paths = (point, segments_path(3, 4), other, segments_path(4, 9))
@@ -744,9 +760,9 @@ class TestSplitGrids:
             side_of.update({id(deltas): "row" for deltas in rows} | {id(deltas): "column" for deltas in columns})
             return _pair_values(rows, columns, pairs, implicit)
 
-        def counted_sides(paths, implicit, crossed, workspace, _sides=backend._sides):
+        def counted_sides(paths, implicit, workspace, _sides=backend._sides):
             solved.extend((side_of[id(deltas)], id(deltas)) for deltas in paths)
-            return _sides(paths, implicit, crossed, workspace)
+            return _sides(paths, implicit, workspace)
 
         def counted_grids(grams, sizes, implicit, grids, _grids=backend._grids):
             if batch_kind(grams) == "own":
@@ -779,20 +795,22 @@ class TestSplitGrids:
         columns = self.COLUMNS if two_samples else self.ROWS
         expected = grid_gram(self.ROWS, columns, scheme, 1.0)
         solved.clear()
-        # every path is a chunk of its own, so each pair solves the own grids of both its paths
+        # every path is a chunk of its own: the side with fewer chunks (rows on a tie) is held, each
+        # held path solved once, and each pair solves its streamed path
         monkeypatch.setattr(backend, "_OWN_CELLS", 1)
         assert grid_gram(self.ROWS, columns, scheme, 1.0).tobytes() == expected.tobytes()
-        pairs = len(self.ROWS) * len(columns) if two_samples else len(self.ROWS) * (len(self.ROWS) + 1) // 2
-        assert Counter(side for side, _ in solved) == {"row": pairs, "column": pairs}
-        # a budget whose chunks hold the column side whole, at 2 (n+1)^2 cells a kept side: the
-        # rows (n + 1 = 7, 1, 10, 4) fit one chunk of 4 * 10^2 cells, or take two of 3 * 9^2 cells
-        # against COLUMNS (n + 1 = 9, 3, 6), each of which solves the column chunk again
+        if two_samples:
+            assert Counter(side for side, _ in solved) == {"row": 12, "column": 3}
+        else:
+            assert Counter(side for side, _ in solved) == {"row": 4, "column": 10}
+        # a budget whose chunks hold the column side whole, at 2 (n+1)^2 cells a side: the rows
+        # (n + 1 = 7, 1, 10, 4) fit one chunk of 4 * 10^2 cells, or take two of 3 * 9^2 cells
+        # against COLUMNS (n + 1 = 9, 3, 6); either way every own grid is solved once
         solved.clear()
         largest = max(len(paths._refined_deltas(p, 1.0)) + 1 for p in columns)
         monkeypatch.setattr(backend, "_OWN_CELLS", 2 * len(columns) * largest**2)
         assert grid_gram(self.ROWS, columns, scheme, 1.0).tobytes() == expected.tobytes()
-        row_chunks = 2 if two_samples else 1
-        assert Counter(side for side, _ in solved) == {"row": len(self.ROWS), "column": row_chunks * len(columns)}
+        assert Counter(side for side, _ in solved) == {"row": len(self.ROWS), "column": len(columns)}
 
 
 @settings(max_examples=15, deadline=None)
