@@ -224,8 +224,8 @@ def _check_feature_budget(dim: int, levels: Sequence[int]) -> None:
     """A Gram route keeps the signatures of one whole sample in memory, path
     i up to levels[i]; refuse, before signing anything, when their
     coefficients together exceed MAX_FEATURE_ENTRIES."""
-    # sum_{m <= L} d^m in closed form, in Python integers, so a huge level is refused at once
-    total = sum(int(L) + 1 if dim == 1 else (dim ** (int(L) + 1) - 1) // (dim - 1) for L in levels)
+    # sum_{m <= level} d^m in closed form, in Python integers, so a huge level is refused at once
+    total = sum(int(level) + 1 if dim == 1 else (dim ** (int(level) + 1) - 1) // (dim - 1) for level in levels)
     if total > MAX_FEATURE_ENTRIES:
         raise ResourceLimitError(
             f"signatures of {len(levels)} paths take {total} coefficients, over the "
